@@ -32,7 +32,6 @@ class MinThreshold(StreamAlgorithm):
     input_kind = StreamKind.SCALAR
     output_kind = StreamKind.SCALAR
     chunk_invariant = True
-    incremental = True
     param_order = ("threshold",)
     row_params = ("threshold",)
 
@@ -76,7 +75,6 @@ class MaxThreshold(StreamAlgorithm):
     input_kind = StreamKind.SCALAR
     output_kind = StreamKind.SCALAR
     chunk_invariant = True
-    incremental = True
     param_order = ("threshold",)
     row_params = ("threshold",)
 
@@ -120,7 +118,6 @@ class RangeThreshold(StreamAlgorithm):
     input_kind = StreamKind.SCALAR
     output_kind = StreamKind.SCALAR
     chunk_invariant = True
-    incremental = True
     param_order = ("low", "high")
     row_params = ("low", "high")
 
@@ -176,7 +173,6 @@ class BandIndicator(StreamAlgorithm):
     input_kind = StreamKind.SCALAR
     output_kind = StreamKind.SCALAR
     chunk_invariant = True
-    incremental = True
     param_order = ("low", "high")
     row_params = ("low", "high")
 
@@ -241,7 +237,6 @@ class SustainedThreshold(StreamAlgorithm):
     input_kind = StreamKind.SCALAR
     output_kind = StreamKind.SCALAR
     chunk_invariant = True
-    incremental = True
     param_order = ("threshold", "count")
     row_params = ("threshold", "count")
 

@@ -26,7 +26,6 @@ class _ElementwiseAggregate(StreamAlgorithm):
     input_kind = StreamKind.SCALAR
     output_kind = StreamKind.SCALAR
     chunk_invariant = True
-    incremental = True
     param_order = ()
 
     _reduce: Callable[..., np.ndarray]

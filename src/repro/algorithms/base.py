@@ -71,7 +71,16 @@ class StreamAlgorithm:
             ones while producing identical wake events; an algorithm
             whose numerical result can drift with chunk size — even at
             ulp level — must leave this False.  Defaults to False so
-            new algorithms opt in explicitly.
+            new algorithms opt in explicitly.  It also admits the
+            opcode to *bounded-replay incremental* execution
+            (streaming ingestion): the executor keeps a retained
+            trailing-input buffer ``R`` sized by
+            :meth:`incremental_retention` such that ``lower(R)`` emits
+            nothing and ``lower(R ++ new_span)`` emits exactly the
+            never-before-emitted output items.  A chunk-invariant
+            opcode must keep that replay contract bit-exact, and an
+            instance outside it says why through
+            :meth:`incremental_ineligibility`.
     """
 
     opcode: str = ""
@@ -79,15 +88,6 @@ class StreamAlgorithm:
     input_kind: StreamKind = StreamKind.SCALAR
     output_kind: StreamKind = StreamKind.SCALAR
     chunk_invariant: bool = False
-    #: True when the opcode's ``lower`` rule supports *bounded-replay
-    #: incremental* execution (streaming ingestion): the executor keeps
-    #: a retained trailing-input buffer ``R`` sized by
-    #: :meth:`incremental_retention` such that ``lower(R)`` emits
-    #: nothing and ``lower(R ++ new_span)`` emits exactly the
-    #: never-before-emitted output items.  Opt-in like
-    #: ``chunk_invariant``: an opcode must only set this after checking
-    #: the replay contract holds bit-exactly for its rule.
-    incremental: bool = False
     #: Parameters the shape-batched path may vary *per row*.  An opcode
     #: that overrides :meth:`lower_batched_rows` lists here exactly the
     #: parameter names its row kernel lifts into ``(B,)`` tensors; every

@@ -32,7 +32,6 @@ class VectorMagnitude(StreamAlgorithm):
     input_kind = StreamKind.SCALAR
     output_kind = StreamKind.SCALAR
     chunk_invariant = True
-    incremental = True
     param_order = ()
 
     def process(self, chunks: Sequence[Chunk]) -> Chunk:
@@ -72,7 +71,6 @@ class ZeroCrossingRate(StreamAlgorithm):
     input_kind = StreamKind.FRAME
     output_kind = StreamKind.SCALAR
     chunk_invariant = True
-    incremental = True
     param_order = ()
 
     def process(self, chunks: Sequence[Chunk]) -> Chunk:
@@ -131,7 +129,6 @@ class DominantFrequency(StreamAlgorithm):
     input_kind = StreamKind.SPECTRUM
     output_kind = StreamKind.SCALAR
     chunk_invariant = True
-    incremental = True
     param_order = ("mode", "min_hz", "max_hz")
 
     def __init__(self, mode: str = "magnitude", min_hz: float = 0.0, max_hz: float | None = None):

@@ -34,7 +34,6 @@ class MovingAverage(StreamAlgorithm):
     input_kind = StreamKind.SCALAR
     output_kind = StreamKind.SCALAR
     chunk_invariant = True
-    incremental = True
     param_order = ("size",)
 
     def __init__(self, size: int):
@@ -228,7 +227,6 @@ class _FFTBandFilter(StreamAlgorithm):
     # Per-frame transform: each output frame depends only on its input
     # frame, never on chunk boundaries.
     chunk_invariant = True
-    incremental = True
     param_order = ("cutoff_hz",)
 
     #: True keeps bins below the cutoff (low-pass); False keeps above.

@@ -45,7 +45,6 @@ class LocalExtrema(StreamAlgorithm):
     # State is exact (last sample value + last emission time compared
     # with ==/</>), so the emitted extrema never depend on chunking.
     chunk_invariant = True
-    incremental = True
     param_order = ("mode", "low", "high", "min_separation")
 
     def __init__(

@@ -47,7 +47,6 @@ class Statistic(StreamAlgorithm):
     output_kind = StreamKind.SCALAR
     # Per-frame reduction: output depends only on the frame contents.
     chunk_invariant = True
-    incremental = True
     param_order = ("name",)
 
     #: Relative per-sample cost of each statistic on an MCU.

@@ -39,7 +39,6 @@ class FFT(StreamAlgorithm):
     input_kind = StreamKind.FRAME
     output_kind = StreamKind.SPECTRUM
     chunk_invariant = True
-    incremental = True
     param_order = ()
 
     def process(self, chunks: Sequence[Chunk]) -> Chunk:
@@ -79,7 +78,6 @@ class IFFT(StreamAlgorithm):
     input_kind = StreamKind.SPECTRUM
     output_kind = StreamKind.FRAME
     chunk_invariant = True
-    incremental = True
     param_order = ()
 
     def process(self, chunks: Sequence[Chunk]) -> Chunk:

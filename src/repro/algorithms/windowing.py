@@ -40,7 +40,6 @@ class Window(StreamAlgorithm):
     # Frames are cut at absolute sample offsets held in the carry
     # buffer, so the emitted frame sequence never depends on chunking.
     chunk_invariant = True
-    incremental = True
     param_order = ("size", "hop", "shape")
 
     def __init__(self, size: int, hop: int | None = None, shape: str = "rectangular"):

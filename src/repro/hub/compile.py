@@ -304,6 +304,16 @@ def batch_eligibility(graph: DataflowGraph) -> Optional[str]:
     return None
 
 
+def padding_ratio(padded_cells: int, valid_cells: int) -> float:
+    """Allocated over valid channel-tensor cells (1.0 means zero waste).
+
+    1.0 as well when nothing ran, so an idle engine reads as waste-free.
+    """
+    if valid_cells <= 0:
+        return 1.0
+    return padded_cells / valid_cells
+
+
 @dataclass(frozen=True)
 class BatchDispatchInfo:
     """Accounting for one batched/shape-batched execution.
@@ -325,9 +335,7 @@ class BatchDispatchInfo:
     @property
     def padding_ratio(self) -> float:
         """Allocated cells over valid cells (1.0 means zero waste)."""
-        if self.valid_cells <= 0:
-            return 1.0
-        return self.padded_cells / self.valid_cells
+        return padding_ratio(self.padded_cells, self.valid_cells)
 
 
 @dataclass(frozen=True)

@@ -63,11 +63,10 @@ def incremental_eligibility(graph: DataflowGraph) -> Optional[str]:
 
     Bounded replay needs everything batched execution needs (the
     per-round merged inputs of many subscriptions stack into one
-    tensor dispatch) *plus* an incremental retention rule on every
-    node: the opcode opted in via ``incremental = True`` and this
-    instance's parameters are expressible
-    (:meth:`~repro.algorithms.base.StreamAlgorithm.
-    incremental_ineligibility` returns ``None``).  Returns a
+    tensor dispatch, so every opcode is chunk-invariant and keeps the
+    replay contract) *plus* expressible parameters on every node:
+    :meth:`~repro.algorithms.base.StreamAlgorithm.
+    incremental_ineligibility` returns ``None``.  Returns a
     human-readable reason for the first violation found, mirroring
     :func:`repro.hub.compile.batch_eligibility`.
     """
@@ -76,8 +75,6 @@ def incremental_eligibility(graph: DataflowGraph) -> Optional[str]:
         return reason
     for node in graph.nodes:
         name = node.opcode or type(node.algorithm).__name__
-        if not node.algorithm.incremental:
-            return f"node {node.node_id} ({name}) has no bounded-replay rule"
         why = node.algorithm.incremental_ineligibility()
         if why is not None:
             return f"node {node.node_id} ({name}): {why}"

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import (
     Callable,
@@ -52,7 +52,7 @@ from repro.serve.journal import RecoveryStats
 from repro.serve.metrics import (
     LogicalClock,
     MetricsSnapshot,
-    percentile_sorted,
+    recomputed_fields,
 )
 from repro.serve.faults import ServiceFaultPlan
 from repro.serve.quotas import TenantQuota
@@ -135,63 +135,25 @@ def merge_snapshots(
 ) -> MetricsSnapshot:
     """Fold per-shard snapshots into one fleet-wide snapshot.
 
-    Counters add; the rejection breakdown merges by reason; dedup
-    hit-rate and latency percentiles are recomputed from the summed
-    counters and the pooled raw samples.  Health transitions are not
-    merged (they are per-shard timelines on per-shard clocks) — read
-    them from the per-shard snapshots.
+    Each field folds by the merge rule it declares (counters add, the
+    rejection breakdown merges by reason, lag takes the worst shard,
+    health degrades if any shard does); dedup hit-rate and latency
+    percentiles are recomputed from the summed counters and the pooled
+    raw samples.  Health transitions are not merged (they are per-shard
+    timelines on per-shard clocks) — read them from the per-shard
+    snapshots.
     """
-    rejected: Dict[str, int] = {}
-    for snap in per_shard:
-        for reason, count in snap.rejected.items():
-            rejected[reason] = rejected.get(reason, 0) + count
+    merged = {}
+    for spec in fields(MetricsSnapshot):
+        rule = spec.metadata["merge"]
+        if callable(rule):
+            merged[spec.name] = rule(
+                [getattr(snap, spec.name) for snap in per_shard]
+            )
     pooled = sorted(
         sample for samples in latency_samples for sample in samples
     )
-    completed = sum(snap.completed for snap in per_shard)
-    dedup_hits = sum(snap.dedup_hits for snap in per_shard)
-    return MetricsSnapshot(
-        submitted=sum(snap.submitted for snap in per_shard),
-        accepted=sum(snap.accepted for snap in per_shard),
-        rejected=rejected,
-        completed=completed,
-        failed=sum(snap.failed for snap in per_shard),
-        cancelled=sum(snap.cancelled for snap in per_shard),
-        engine_runs=sum(snap.engine_runs for snap in per_shard),
-        dedup_hits=dedup_hits,
-        dedup_hit_rate=(dedup_hits / completed if completed else 0.0),
-        latency_p50=percentile_sorted(pooled, 50),
-        latency_p90=percentile_sorted(pooled, 90),
-        latency_p99=percentile_sorted(pooled, 99),
-        latency_p999=percentile_sorted(pooled, 99.9),
-        queue_depth=sum(snap.queue_depth for snap in per_shard),
-        store_size=sum(snap.store_size for snap in per_shard),
-        store_spilled=sum(snap.store_spilled for snap in per_shard),
-        journal_errors=sum(snap.journal_errors for snap in per_shard),
-        health_state=(
-            "degraded"
-            if any(snap.health_state != "healthy" for snap in per_shard)
-            else "healthy"
-        ),
-        batch_rounds=sum(snap.batch_rounds for snap in per_shard),
-        batched_cells=sum(snap.batched_cells for snap in per_shard),
-        shape_rounds=sum(snap.shape_rounds for snap in per_shard),
-        shape_cells=sum(snap.shape_cells for snap in per_shard),
-        batch_padded_cells=sum(snap.batch_padded_cells for snap in per_shard),
-        batch_valid_cells=sum(snap.batch_valid_cells for snap in per_shard),
-        stream_chunks=sum(snap.stream_chunks for snap in per_shard),
-        stream_subscriptions=sum(
-            snap.stream_subscriptions for snap in per_shard
-        ),
-        stream_backlog=sum(snap.stream_backlog for snap in per_shard),
-        # Lag is a worst-case freshness bound, not a volume — the fleet
-        # lags as far as its furthest-behind shard.
-        stream_lag_s=max(
-            (snap.stream_lag_s for snap in per_shard), default=0.0
-        ),
-        stream_rounds=sum(snap.stream_rounds for snap in per_shard),
-        stream_cells=sum(snap.stream_cells for snap in per_shard),
-    )
+    return MetricsSnapshot(**merged, **recomputed_fields(merged, pooled))
 
 
 class ShardCluster:

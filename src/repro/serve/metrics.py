@@ -11,8 +11,11 @@ Embedders that want wall-clock metrics pass ``time.monotonic``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from copy import copy
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
+
+from repro.hub.compile import padding_ratio
 
 
 class LogicalClock:
@@ -70,9 +73,85 @@ def percentile_sorted(ordered: Sequence[float], q: float) -> float:
     return ordered[min(int(rank), len(ordered)) - 1]
 
 
+def recomputed_fields(
+    counters: Mapping[str, Any], ordered: Sequence[float]
+) -> Dict[str, float]:
+    """The snapshot fields no counter holds: dedup rate and percentiles.
+
+    Both :meth:`MetricsRecorder.snapshot` and the cross-shard merge call
+    this, so one shard and a whole fleet derive the rate from their
+    ``dedup_hits`` and ``completed`` counters and the nearest-rank
+    percentiles from raw latency samples the same way.  ``ordered``
+    must already be sorted; every quantile indexes into that one
+    ordering.
+    """
+    completed = counters["completed"]
+    return {
+        "dedup_hit_rate": (
+            counters["dedup_hits"] / completed if completed else 0.0
+        ),
+        "latency_p50": percentile_sorted(ordered, 50),
+        "latency_p90": percentile_sorted(ordered, 90),
+        "latency_p99": percentile_sorted(ordered, 99),
+        "latency_p999": percentile_sorted(ordered, 99.9),
+    }
+
+
+def _merge_reasons(counts: Sequence[Dict[str, int]]) -> Dict[str, int]:
+    """Rejection breakdowns summed reason by reason."""
+    merged: Dict[str, int] = {}
+    for reasons in counts:
+        for reason, count in reasons.items():
+            merged[reason] = merged.get(reason, 0) + count
+    return merged
+
+
+def _worst(values: Sequence[float]) -> float:
+    """The largest value (0.0 for no shards)."""
+    return max(values, default=0.0)
+
+
+def _any_degraded(states: Sequence[str]) -> str:
+    """``"degraded"`` when any shard is not healthy."""
+    return "degraded" if any(s != "healthy" for s in states) else "healthy"
+
+
+#: Merge rule of a field whose fleet value :func:`recomputed_fields`
+#: derives from summed counters and pooled samples.
+RECOMPUTED = "recomputed"
+#: Merge rule of a field with no fleet value; the merge keeps its default.
+NOT_MERGED = "not merged"
+
+def _merged_by(
+    rule: Union[Callable[[List[Any]], Any], str], **kwargs: Any
+) -> Any:
+    """A snapshot field and its cross-shard merge rule.
+
+    A callable ``rule`` folds the per-shard values into the fleet value
+    (see :func:`repro.serve.cluster.merge_snapshots`); otherwise it is
+    :data:`RECOMPUTED` or :data:`NOT_MERGED`.
+    """
+    return field(metadata={"merge": rule}, **kwargs)
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as JSON-shaped data: dicts copied, tuples as lists."""
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
 @dataclass(frozen=True)
 class MetricsSnapshot:
     """Point-in-time counters of one :class:`~repro.serve.service.ConditionService`.
+
+    Each field is the one declaration of its counter: :meth:`as_dict`,
+    :meth:`MetricsRecorder.snapshot` and the cross-shard merge iterate
+    the fields, and each field's ``merge`` metadata says how shards
+    fold into a fleet value — summed, the worst lag, merged by reason,
+    degraded if any shard is, :data:`RECOMPUTED` or :data:`NOT_MERGED`.
 
     Attributes:
         submitted: All ``submit()`` calls, accepted or not.
@@ -130,37 +209,42 @@ class MetricsSnapshot:
             incremental-round occupancy.
     """
 
-    submitted: int
-    accepted: int
-    rejected: Dict[str, int]
-    completed: int
-    failed: int
-    cancelled: int
-    engine_runs: int
-    dedup_hits: int
-    dedup_hit_rate: float
-    latency_p50: float
-    latency_p90: float
-    latency_p99: float
-    queue_depth: int
-    store_size: int
-    latency_p999: float = 0.0
-    store_spilled: int = 0
-    journal_errors: int = 0
-    health_state: str = "healthy"
-    health_transitions: Tuple[Tuple[float, str, str], ...] = ()
-    batch_rounds: int = 0
-    batched_cells: int = 0
-    shape_rounds: int = 0
-    shape_cells: int = 0
-    batch_padded_cells: int = 0
-    batch_valid_cells: int = 0
-    stream_chunks: int = 0
-    stream_subscriptions: int = 0
-    stream_backlog: int = 0
-    stream_lag_s: float = 0.0
-    stream_rounds: int = 0
-    stream_cells: int = 0
+    submitted: int = _merged_by(sum)
+    accepted: int = _merged_by(sum)
+    rejected: Dict[str, int] = _merged_by(_merge_reasons)
+    completed: int = _merged_by(sum)
+    failed: int = _merged_by(sum)
+    cancelled: int = _merged_by(sum)
+    engine_runs: int = _merged_by(sum)
+    dedup_hits: int = _merged_by(sum)
+    dedup_hit_rate: float = _merged_by(RECOMPUTED)
+    latency_p50: float = _merged_by(RECOMPUTED)
+    latency_p90: float = _merged_by(RECOMPUTED)
+    latency_p99: float = _merged_by(RECOMPUTED)
+    queue_depth: int = _merged_by(sum)
+    store_size: int = _merged_by(sum)
+    latency_p999: float = _merged_by(RECOMPUTED, default=0.0)
+    store_spilled: int = _merged_by(sum, default=0)
+    journal_errors: int = _merged_by(sum, default=0)
+    health_state: str = _merged_by(_any_degraded, default="healthy")
+    # Per-shard timelines on per-shard clocks: read them per shard.
+    health_transitions: Tuple[Tuple[float, str, str], ...] = _merged_by(
+        NOT_MERGED, default=()
+    )
+    batch_rounds: int = _merged_by(sum, default=0)
+    batched_cells: int = _merged_by(sum, default=0)
+    shape_rounds: int = _merged_by(sum, default=0)
+    shape_cells: int = _merged_by(sum, default=0)
+    batch_padded_cells: int = _merged_by(sum, default=0)
+    batch_valid_cells: int = _merged_by(sum, default=0)
+    stream_chunks: int = _merged_by(sum, default=0)
+    stream_subscriptions: int = _merged_by(sum, default=0)
+    stream_backlog: int = _merged_by(sum, default=0)
+    # Lag is a worst-case freshness bound, not a volume: the fleet lags
+    # as far as its furthest-behind shard.
+    stream_lag_s: float = _merged_by(_worst, default=0.0)
+    stream_rounds: int = _merged_by(sum, default=0)
+    stream_cells: int = _merged_by(sum, default=0)
 
     @property
     def rejected_total(self) -> int:
@@ -180,9 +264,7 @@ class MetricsSnapshot:
     @property
     def batch_padding_ratio(self) -> float:
         """Allocated over valid stacked cells (1.0 means zero waste)."""
-        if self.batch_valid_cells <= 0:
-            return 1.0
-        return self.batch_padded_cells / self.batch_valid_cells
+        return padding_ratio(self.batch_padded_cells, self.batch_valid_cells)
 
     @property
     def stream_occupancy(self) -> float:
@@ -190,47 +272,13 @@ class MetricsSnapshot:
         return self.stream_cells / self.stream_rounds if self.stream_rounds else 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        """Snapshot as a plain dict (for logs and benchmark artifacts)."""
-        return {
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "rejected": dict(self.rejected),
-            "rejected_total": self.rejected_total,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "engine_runs": self.engine_runs,
-            "dedup_hits": self.dedup_hits,
-            "dedup_hit_rate": self.dedup_hit_rate,
-            "latency_p50": self.latency_p50,
-            "latency_p90": self.latency_p90,
-            "latency_p99": self.latency_p99,
-            "latency_p999": self.latency_p999,
-            "queue_depth": self.queue_depth,
-            "store_size": self.store_size,
-            "store_spilled": self.store_spilled,
-            "journal_errors": self.journal_errors,
-            "batch_rounds": self.batch_rounds,
-            "batched_cells": self.batched_cells,
-            "batch_occupancy": self.batch_occupancy,
-            "shape_rounds": self.shape_rounds,
-            "shape_cells": self.shape_cells,
-            "shape_occupancy": self.shape_occupancy,
-            "batch_padded_cells": self.batch_padded_cells,
-            "batch_valid_cells": self.batch_valid_cells,
-            "batch_padding_ratio": self.batch_padding_ratio,
-            "stream_chunks": self.stream_chunks,
-            "stream_subscriptions": self.stream_subscriptions,
-            "stream_backlog": self.stream_backlog,
-            "stream_lag_s": self.stream_lag_s,
-            "stream_rounds": self.stream_rounds,
-            "stream_cells": self.stream_cells,
-            "stream_occupancy": self.stream_occupancy,
-            "health_state": self.health_state,
-            "health_transitions": [
-                list(transition) for transition in self.health_transitions
-            ],
-        }
+        """Every field plus every derived property, as a plain dict (for
+        logs and benchmark artifacts)."""
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        for name, attr in vars(MetricsSnapshot).items():
+            if isinstance(attr, property):
+                out[name] = getattr(self, name)
+        return out
 
     def describe(self) -> str:
         """Multi-line human-readable report."""
@@ -270,7 +318,11 @@ class MetricsSnapshot:
 
 @dataclass
 class MetricsRecorder:
-    """Mutable counters the service updates as requests flow through."""
+    """Mutable counters the service updates as requests flow through.
+
+    Every field except the raw ``latencies`` sample is named after the
+    :class:`MetricsSnapshot` field it becomes.
+    """
 
     submitted: int = 0
     accepted: int = 0
@@ -294,66 +346,24 @@ class MetricsRecorder:
         self.latencies.append(latency)
 
     def snapshot(
-        self,
-        queue_depth: int,
-        store_size: int,
-        store_spilled: int = 0,
-        journal_errors: int = 0,
-        health_state: str = "healthy",
-        health_transitions: Tuple[Tuple[float, str, str], ...] = (),
-        batch_rounds: int = 0,
-        batched_cells: int = 0,
-        shape_rounds: int = 0,
-        shape_cells: int = 0,
-        batch_padded_cells: int = 0,
-        batch_valid_cells: int = 0,
-        stream_chunks: int = 0,
-        stream_subscriptions: int = 0,
-        stream_backlog: int = 0,
-        stream_lag_s: float = 0.0,
-        stream_rounds: int = 0,
-        stream_cells: int = 0,
+        self, queue_depth: int, store_size: int, **gauges: Any
     ) -> MetricsSnapshot:
         """Freeze the counters into a :class:`MetricsSnapshot`.
 
-        The latency sample is sorted once here and every quantile
-        indexes into that one ordering — snapshots used to re-sort the
-        full list per quantile, which dominated snapshot cost on
-        fleet-scale runs.
+        ``gauges`` are the remaining snapshot fields the recorder does
+        not count itself (store, health, engine and stream state),
+        passed by field name; an unknown name raises ``TypeError``.
+        The latency sample is sorted once, here.
         """
-        ordered = sorted(self.latencies)
+        counters = {
+            f.name: copy(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "latencies"
+        }
         return MetricsSnapshot(
-            submitted=self.submitted,
-            accepted=self.accepted,
-            rejected=dict(self.rejected),
-            completed=self.completed,
-            failed=self.failed,
-            cancelled=self.cancelled,
-            engine_runs=self.engine_runs,
-            dedup_hits=self.dedup_hits,
-            dedup_hit_rate=(
-                self.dedup_hits / self.completed if self.completed else 0.0
-            ),
-            latency_p50=percentile_sorted(ordered, 50),
-            latency_p90=percentile_sorted(ordered, 90),
-            latency_p99=percentile_sorted(ordered, 99),
-            latency_p999=percentile_sorted(ordered, 99.9),
+            **counters,
+            **recomputed_fields(counters, sorted(self.latencies)),
             queue_depth=queue_depth,
             store_size=store_size,
-            store_spilled=store_spilled,
-            journal_errors=journal_errors,
-            health_state=health_state,
-            health_transitions=health_transitions,
-            batch_rounds=batch_rounds,
-            batched_cells=batched_cells,
-            shape_rounds=shape_rounds,
-            shape_cells=shape_cells,
-            batch_padded_cells=batch_padded_cells,
-            batch_valid_cells=batch_valid_cells,
-            stream_chunks=stream_chunks,
-            stream_subscriptions=stream_subscriptions,
-            stream_backlog=stream_backlog,
-            stream_lag_s=stream_lag_s,
-            stream_rounds=stream_rounds,
-            stream_cells=stream_cells,
+            **gauges,
         )

@@ -6,10 +6,14 @@ The cluster needs an assignment of submissions to shards that is
   the same shard, across processes and runs, so cluster results are
   bit-reproducible and a recovered shard sees exactly the keys it saw
   before the crash;
-* **dedup-friendly** — coalescing happens *within* a shard, so keys
-  that share work should co-locate.  Routing on the trace key keeps
-  every submission against one recording on one shard, which is where
-  the scheduler's fingerprint dedup and tensor-major batching win; and
+* **tenant-spreading** — the key is ``tenant ␟ trace`` (see
+  :func:`route_key`), so one tenant's submissions against different
+  traces spread across shards while all of one tenant's submissions
+  against one trace (and that device's stream) share a shard.
+  Coalescing happens *within* a shard, so fingerprint dedup and
+  tensor-major batching only combine work whose keys land together:
+  identical conditions from different tenants over the same trace
+  usually route to different shards and run once per shard; and
 * **stable under resizing** — growing N → N+1 shards should strand as
   little routing state as possible.
 
@@ -36,10 +40,11 @@ __all__ = ["ShardRouter", "route_key"]
 def route_key(tenant: str, trace: str) -> str:
     """The routing key for a submission: tenant plus trace name.
 
-    The trace component dominates placement economics (work dedups by
-    trace within a shard); the tenant component spreads a single
-    tenant's multi-trace portfolio across shards.  ``0x1f`` (unit
-    separator) keeps ``("a", "bc")`` distinct from ``("ab", "c")``.
+    Both components place the key: a tenant's multi-trace portfolio
+    spreads across shards, and the same trace under different tenants
+    does too, so cross-tenant dedup only happens among tenants that
+    share a shard.  ``0x1f`` (unit separator) keeps ``("a", "bc")``
+    distinct from ``("ab", "c")``.
     """
     return f"{tenant}\x1f{trace}"
 

@@ -138,36 +138,6 @@ class Scheduler:
         self._il_graphs: Dict[Tuple[str, str], DataflowGraph] = {}
         self._memo: Dict[tuple, ServeResult] = {}
 
-    @property
-    def batch_rounds(self) -> int:
-        """Tensor-major hub dispatches the shared context has run."""
-        return self._context.stats.batch_rounds
-
-    @property
-    def batched_cells(self) -> int:
-        """Per-trace hub runs those batched dispatches covered."""
-        return self._context.stats.batched_cells
-
-    @property
-    def shape_rounds(self) -> int:
-        """Shape-keyed heterogeneous dispatches the context has run."""
-        return self._context.stats.shape_rounds
-
-    @property
-    def shape_cells(self) -> int:
-        """Per-trace hub runs those shape dispatches covered."""
-        return self._context.stats.shape_cells
-
-    @property
-    def batch_padded_cells(self) -> int:
-        """Allocated channel-tensor cells across stacked dispatches."""
-        return self._context.stats.batch_padded_cells
-
-    @property
-    def batch_valid_cells(self) -> int:
-        """Valid (non-padding) cells across stacked dispatches."""
-        return self._context.stats.batch_valid_cells
-
     # -- registry views the service validates against -------------------
 
     @property

@@ -535,6 +535,7 @@ class ConditionService:
     def metrics(self) -> MetricsSnapshot:
         """Current counters, dedup hit-rate, latency percentiles, and
         durability/health state."""
+        engine = self._context.stats
         return self._metrics.snapshot(
             queue_depth=len(self._queue),
             store_size=len(self._store),
@@ -542,12 +543,12 @@ class ConditionService:
             journal_errors=self._health.journal_errors,
             health_state=self._health.state.value,
             health_transitions=self._health.transitions,
-            batch_rounds=self._scheduler.batch_rounds,
-            batched_cells=self._scheduler.batched_cells,
-            shape_rounds=self._scheduler.shape_rounds,
-            shape_cells=self._scheduler.shape_cells,
-            batch_padded_cells=self._scheduler.batch_padded_cells,
-            batch_valid_cells=self._scheduler.batch_valid_cells,
+            batch_rounds=engine.batch_rounds,
+            batched_cells=engine.batched_cells,
+            shape_rounds=engine.shape_rounds,
+            shape_cells=engine.shape_cells,
+            batch_padded_cells=engine.batch_padded_cells,
+            batch_valid_cells=engine.batch_valid_cells,
             stream_chunks=self._ingest.chunks,
             stream_subscriptions=self._ingest.subscriptions,
             stream_backlog=self._ingest.backlog,

@@ -35,7 +35,7 @@ import hashlib
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -55,6 +55,7 @@ from repro.hub.compile import (
     compile_batched,
     compile_eligibility,
     compile_graph,
+    padding_ratio,
     shape_signature,
     structural_key,
 )
@@ -147,30 +148,11 @@ class CacheStats:
     @property
     def batch_padding_ratio(self) -> float:
         """Allocated over valid stacked cells (1.0 means zero waste)."""
-        if self.batch_valid_cells <= 0:
-            return 1.0
-        return self.batch_padded_cells / self.batch_valid_cells
+        return padding_ratio(self.batch_padded_cells, self.batch_valid_cells)
 
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dict (for logs and benchmark artifacts)."""
-        return {
-            "compile_hits": self.compile_hits,
-            "compile_misses": self.compile_misses,
-            "plan_hits": self.plan_hits,
-            "plan_misses": self.plan_misses,
-            "hub_hits": self.hub_hits,
-            "hub_misses": self.hub_misses,
-            "trace_hits": self.trace_hits,
-            "trace_misses": self.trace_misses,
-            "detect_hits": self.detect_hits,
-            "detect_misses": self.detect_misses,
-            "batch_rounds": self.batch_rounds,
-            "batched_cells": self.batched_cells,
-            "shape_rounds": self.shape_rounds,
-            "shape_cells": self.shape_cells,
-            "batch_padded_cells": self.batch_padded_cells,
-            "batch_valid_cells": self.batch_valid_cells,
-        }
+        return asdict(self)
 
 
 class RunContext:

@@ -9,9 +9,8 @@ per-arrival outputs must be *bit-identical* (exact times AND values) to
 running the final assembled trace whole, for any arrival chunking.
 This module checks:
 
-* eligibility composes batch eligibility with the per-opcode
-  ``incremental`` flag and per-instance parameter gates, each with a
-  human-readable reason;
+* eligibility composes batch eligibility with the per-instance
+  parameter gates, each with a human-readable reason;
 * for each equivalence program, randomized irregular arrival spans
   reproduce the whole-trace compiled plan exactly — singly and when
   many subscriptions advance together through stacked dispatches,

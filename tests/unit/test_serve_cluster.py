@@ -1,6 +1,7 @@
 """Unit tests for the sharded cluster and its asyncio front end."""
 
 import asyncio
+from dataclasses import fields
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.serve import (
     shard_journal_path,
 )
 from repro.serve.cluster import merge_snapshots
-from repro.serve.metrics import MetricsSnapshot
+from repro.serve.metrics import NOT_MERGED, RECOMPUTED, MetricsSnapshot
 
 
 @pytest.fixture()
@@ -243,6 +244,78 @@ class TestMergeSnapshots:
             "degraded"
         )
         assert merge_snapshots([healthy], [[]]).health_state == "healthy"
+
+
+#: Two shard snapshots with a distinct non-zero value in every field.
+SHARD_A = dict(
+    submitted=11, accepted=10, rejected={"queue_full": 1}, completed=8,
+    failed=2, cancelled=1, engine_runs=5, dedup_hits=3,
+    dedup_hit_rate=0.375, latency_p50=2.0, latency_p90=3.0,
+    latency_p99=4.0, queue_depth=6, store_size=7, latency_p999=4.0,
+    store_spilled=2, journal_errors=1, health_state="degraded",
+    health_transitions=((5.0, "healthy", "degraded"),),
+    batch_rounds=3, batched_cells=9, shape_rounds=2, shape_cells=5,
+    batch_padded_cells=40, batch_valid_cells=30, stream_chunks=12,
+    stream_subscriptions=4, stream_backlog=100, stream_lag_s=2.5,
+    stream_rounds=6, stream_cells=18,
+)
+SHARD_B = dict(
+    submitted=21, accepted=19, rejected={"queue_full": 2, "tenant_quota": 3},
+    completed=16, failed=3, cancelled=2, engine_runs=9, dedup_hits=4,
+    dedup_hit_rate=0.25, latency_p50=20.0, latency_p90=30.0,
+    latency_p99=40.0, queue_depth=8, store_size=13, latency_p999=40.0,
+    store_spilled=5, journal_errors=2, health_state="healthy",
+    health_transitions=((1.0, "healthy", "degraded"),
+                        (2.0, "degraded", "healthy")),
+    batch_rounds=7, batched_cells=21, shape_rounds=4, shape_cells=11,
+    batch_padded_cells=90, batch_valid_cells=60, stream_chunks=24,
+    stream_subscriptions=6, stream_backlog=50, stream_lag_s=1.25,
+    stream_rounds=10, stream_cells=35,
+)
+
+
+class TestMergeRules:
+    def test_every_field_folds_by_its_rule(self):
+        names = {spec.name for spec in fields(MetricsSnapshot)}
+        assert set(SHARD_A) == set(SHARD_B) == names
+        merged = merge_snapshots(
+            [MetricsSnapshot(**SHARD_A), MetricsSnapshot(**SHARD_B)],
+            [[1.0, 2.0, 3.0, 4.0], [5.0, 10.0, 20.0, 30.0, 40.0]],
+        )
+        assert {name: getattr(merged, name) for name in names} == dict(
+            # Counters add.
+            submitted=32, accepted=29, completed=24, failed=5,
+            cancelled=3, engine_runs=14, dedup_hits=7, queue_depth=14,
+            store_size=20, store_spilled=7, journal_errors=3,
+            batch_rounds=10, batched_cells=30, shape_rounds=6,
+            shape_cells=16, batch_padded_cells=130, batch_valid_cells=90,
+            stream_chunks=36, stream_subscriptions=10, stream_backlog=150,
+            stream_rounds=16, stream_cells=53,
+            # Rejections merge by reason; the worst lag and any
+            # degraded shard win; per-shard timelines are dropped.
+            rejected={"queue_full": 3, "tenant_quota": 3},
+            stream_lag_s=2.5,
+            health_state="degraded",
+            health_transitions=(),
+            # Rate from the summed counters, percentiles over the
+            # pooled samples [1, 2, 3, 4, 5, 10, 20, 30, 40].
+            dedup_hit_rate=pytest.approx(7 / 24),
+            latency_p50=5.0, latency_p90=40.0, latency_p99=40.0,
+            latency_p999=40.0,
+        )
+
+    def test_merge_rules_are_declared_on_every_field(self):
+        for spec in fields(MetricsSnapshot):
+            rule = spec.metadata["merge"]
+            assert callable(rule) or rule in (RECOMPUTED, NOT_MERGED)
+
+    def test_no_shards_merge_to_zero(self):
+        merged = merge_snapshots([], [])
+        assert merged.submitted == 0
+        assert merged.rejected == {}
+        assert merged.stream_lag_s == 0.0
+        assert merged.health_state == "healthy"
+        assert merged.latency_p99 == 0.0
 
 
 class TestAsyncCluster:
