@@ -126,10 +126,15 @@ def test_matrix_engine_fast_paths(benchmark, robot_traces):
         lambda: run_matrix(configs, apps, traces, context=context)
     )
     nocompile, nocompile_s = _timed(
-        lambda: run_matrix(configs, apps, traces, compiled=False)
+        lambda: run_matrix(
+            configs, apps, traces, context=RunContext(compiled=False)
+        )
     )
     nofuse, nofuse_s = _timed(
-        lambda: run_matrix(configs, apps, traces, fuse=False, compiled=False)
+        lambda: run_matrix(
+            configs, apps, traces,
+            context=RunContext(fuse=False, compiled=False),
+        )
     )
     # The persistent pool: the first dispatch forks workers and ships
     # the traces; the second is the steady state every later sweep sees.

@@ -227,6 +227,28 @@ def _print_execution(matrix, verbose: bool) -> None:
         )
 
 
+def _run_context(args: argparse.Namespace, cost_model=None):
+    """The one engine context the ``--no-*`` escape hatches describe.
+
+    Every fast-path switch lives on :class:`~repro.sim.engine.RunContext`;
+    the CLI's ``--no-cache/--no-fuse/--no-compile/--no-batch/
+    --no-shape-batch`` flags (whichever the subcommand offers) only
+    choose its constructor arguments.  ``cost_model`` is the
+    ``--cost-table`` model (:func:`_load_cost_table`), or ``None`` for a
+    private empty one.
+    """
+    from repro.sim.engine import RunContext
+
+    return RunContext(
+        cache=not getattr(args, "no_cache", False),
+        fuse=not getattr(args, "no_fuse", False),
+        compiled=not getattr(args, "no_compile", False),
+        batch=not args.no_batch,
+        shape_batch=not args.no_shape_batch,
+        cost_model=cost_model,
+    )
+
+
 def cmd_table2(args: argparse.Namespace) -> int:
     """Regenerate the paper's Table 2 over the audio corpus."""
     from repro.eval.report import render_table2
@@ -235,11 +257,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     table, matrix = build_table2(
         traces=audio_corpus(duration_s=args.duration),
         jobs=args.jobs,
-        cache=not args.no_cache,
-        fuse=not args.no_fuse,
-        compiled=not args.no_compile,
-        batch=not args.no_batch,
-        shape_batch=not args.no_shape_batch,
+        context=_run_context(args),
     )
     print(render_table2(table, paper=PAPER_TABLE2))
     _print_skipped(matrix)
@@ -255,11 +273,7 @@ def cmd_figure5(args: argparse.Namespace) -> int:
     series, matrix = figure5_series(
         traces=robot_corpus(duration_s=args.duration),
         jobs=args.jobs,
-        cache=not args.no_cache,
-        fuse=not args.no_fuse,
-        compiled=not args.no_compile,
-        batch=not args.no_batch,
-        shape_batch=not args.no_shape_batch,
+        context=_run_context(args),
     )
     print(render_figure5(series))
     _print_skipped(matrix)
@@ -277,9 +291,7 @@ def cmd_figure6(args: argparse.Namespace) -> int:
         if t.metadata.get("group") == 1
     ]
     series, matrix = figure6_series(
-        traces=group1, jobs=args.jobs, cache=not args.no_cache,
-        fuse=not args.no_fuse, compiled=not args.no_compile,
-        batch=not args.no_batch, shape_batch=not args.no_shape_batch,
+        traces=group1, jobs=args.jobs, context=_run_context(args)
     )
     print(render_figure6(series))
     _print_execution(matrix, args.verbose)
@@ -294,11 +306,7 @@ def cmd_figure7(args: argparse.Namespace) -> int:
     series, matrix = figure7_series(
         traces=human_corpus(duration_s=args.duration),
         jobs=args.jobs,
-        cache=not args.no_cache,
-        fuse=not args.no_fuse,
-        compiled=not args.no_compile,
-        batch=not args.no_batch,
-        shape_batch=not args.no_shape_batch,
+        context=_run_context(args),
     )
     print(render_figure7(series))
     _print_skipped(matrix)
@@ -357,23 +365,14 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
     cost_model = _load_cost_table(args)
-    context = None
-    if args.no_batch or args.no_shape_batch or cost_model is not None:
-        from repro.sim.engine import RunContext
-
-        context = RunContext(
-            batch=not args.no_batch,
-            shape_batch=not args.no_shape_batch,
-            cost_model=cost_model,
-        )
-        service_kwargs["context"] = context
     faults = (
         ServiceFaultPlan(kill_after_accepts=args.kill_after)
         if args.kill_after
         else None
     )
     service = ConditionService(
-        traces, journal=args.journal, faults=faults, **service_kwargs
+        traces, journal=args.journal, faults=faults,
+        context=_run_context(args, cost_model), **service_kwargs,
     )
     stats = None
     if args.recover:
@@ -383,7 +382,10 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             traces,
             args.journal,
             pump_every=args.pump_every,
-            recover_kwargs=service_kwargs,
+            # A restarted service starts with cold engine caches.
+            recover_kwargs=dict(
+                service_kwargs, context=_run_context(args, cost_model)
+            ),
         )
         service.shutdown()
     else:
@@ -412,8 +414,8 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     if args.digest:
         print(f"digest {response_digest(report.responses)}")
-    if args.cost_table and context is not None:
-        context.cost_model.save(Path(args.cost_table))
+    if cost_model is not None:
+        cost_model.save(Path(args.cost_table))
         print(f"wrote cost table to {args.cost_table}")
     return 0
 
@@ -483,16 +485,9 @@ def _serve_bench_cluster(args: argparse.Namespace) -> int:
         shards=shards,
     )
     cost_model = _load_cost_table(args)
-    if args.no_batch or args.no_shape_batch or cost_model is not None:
-        from repro.sim.engine import RunContext
-
-        # Shards share one cost model (they pump sequentially in one
-        # process), so batch-size samples pool across the cluster.
-        cluster_kwargs["context_factory"] = lambda: RunContext(
-            batch=not args.no_batch,
-            shape_batch=not args.no_shape_batch,
-            cost_model=cost_model,
-        )
+    # Shards share one cost model (they pump sequentially in one
+    # process), so batch-size samples pool across the cluster.
+    cluster_kwargs["context_factory"] = lambda: _run_context(args, cost_model)
     faults = None
     if args.kill_shard is not None:
         faults = {
@@ -529,7 +524,7 @@ def _serve_bench_cluster(args: argparse.Namespace) -> int:
     )
     if args.digest:
         print(f"digest {completion_digest(report.pairs)}")
-    if args.cost_table and cost_model is not None:
+    if cost_model is not None:
         cost_model.save(Path(args.cost_table))
         print(f"wrote cost table to {args.cost_table}")
     return 0

@@ -3,13 +3,14 @@
 Each builder returns nested dicts of plain floats so benchmarks can
 print the series and assert on their shape (who wins, by what factor,
 where crossovers fall).  All of them run their sweeps through
-:func:`repro.eval.experiments.run_matrix`, so they accept the engine's
-``jobs`` / ``cache`` knobs.
+:func:`repro.eval.experiments.run_matrix`, so they accept its ``jobs``
+and ``context`` arguments: the engine's fast-path switches are set on
+the :class:`~repro.sim.engine.RunContext` passed in, never per builder.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.apps import HeadbuttApp, StepsApp, TransitionsApp
 from repro.eval.experiments import (
@@ -20,6 +21,7 @@ from repro.eval.experiments import (
     run_matrix,
 )
 from repro.sim.configs import DutyCycling
+from repro.sim.engine import RunContext
 from repro.traces.base import Trace
 from repro.traces.library import human_corpus, robot_corpus
 
@@ -30,11 +32,7 @@ FIGURE6_INTERVALS = (2.0, 5.0, 10.0, 20.0, 30.0)
 def figure5_series(
     traces: Sequence[Trace] | None = None,
     jobs: int = 1,
-    cache: bool = True,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
+    context: Optional[RunContext] = None,
 ) -> Tuple[Dict[int, Dict[str, Dict[str, float]]], Matrix]:
     """Figure 5: power relative to Oracle, per robot group and app.
 
@@ -50,11 +48,7 @@ def figure5_series(
         apps,
         traces,
         jobs=jobs,
-        cache=cache,
-        fuse=fuse,
-        compiled=compiled,
-        batch=batch,
-        shape_batch=shape_batch,
+        context=context,
     )
     groups = group_trace_names(traces)
     series: Dict[int, Dict[str, Dict[str, float]]] = {}
@@ -75,11 +69,7 @@ def figure6_series(
     traces: Sequence[Trace] | None = None,
     intervals: Sequence[float] = FIGURE6_INTERVALS,
     jobs: int = 1,
-    cache: bool = True,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
+    context: Optional[RunContext] = None,
 ) -> Tuple[Dict[str, Dict[float, float]], Matrix]:
     """Figure 6: duty-cycling recall vs sleep interval at 90 % idle.
 
@@ -92,10 +82,7 @@ def figure6_series(
         traces = [t for t in robot_corpus() if t.metadata.get("group") == 1]
     apps = [StepsApp(), TransitionsApp(), HeadbuttApp()]
     configs = [DutyCycling(interval) for interval in intervals]
-    matrix = run_matrix(
-        configs, apps, traces, jobs=jobs, cache=cache, fuse=fuse,
-        compiled=compiled, batch=batch, shape_batch=shape_batch,
-    )
+    matrix = run_matrix(configs, apps, traces, jobs=jobs, context=context)
     series: Dict[str, Dict[float, float]] = {app.name: {} for app in apps}
     for config, interval in zip(configs, intervals):
         for app in apps:
@@ -107,11 +94,7 @@ def figure6_series(
 def figure7_series(
     traces: Sequence[Trace] | None = None,
     jobs: int = 1,
-    cache: bool = True,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
+    context: Optional[RunContext] = None,
 ) -> Tuple[Dict[str, Dict[str, float]], Matrix]:
     """Figure 7: step-detector power relative to Oracle on human traces.
 
@@ -128,11 +111,7 @@ def figure7_series(
         [app],
         traces,
         jobs=jobs,
-        cache=cache,
-        fuse=fuse,
-        compiled=compiled,
-        batch=batch,
-        shape_batch=shape_batch,
+        context=context,
     )
     shown = ["always_awake", "duty_cycling_10s", "batching_10s",
              "predefined_activity", "sidewinder"]

@@ -6,12 +6,13 @@ dicts) so benchmarks can both print them and assert on their shape.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import MusicJournalApp, PhraseDetectionApp, SirenDetectorApp
 from repro.eval.experiments import Matrix, run_matrix
 from repro.power.phone import NEXUS4, PhonePowerProfile
 from repro.sim.configs import Oracle, PredefinedActivity, Sidewinder
+from repro.sim.engine import RunContext
 from repro.traces.base import Trace
 from repro.traces.library import audio_corpus
 
@@ -37,11 +38,7 @@ def build_table2(
     traces: Sequence[Trace] | None = None,
     sound_threshold: float | None = None,
     jobs: int = 1,
-    cache: bool = True,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
+    context: Optional[RunContext] = None,
 ) -> Tuple[Dict[str, Dict[str, float]], Matrix]:
     """Table 2: average power (mW) per audio app and wake-up mechanism.
 
@@ -50,12 +47,10 @@ def build_table2(
             corpus.
         sound_threshold: Optional calibrated PA sound threshold.
         jobs: Worker processes for the sweep (1 = serial).
-        cache: Enable engine memoization.
-        fuse: Enable the fused hub fast path.
-        compiled: Enable the compiled whole-trace hub path.
-        batch: Enable tensor-major batching of same-condition cells.
-        shape_batch: Enable shape-keyed batching across conditions that
-            share one graph shape.
+        context: Optional engine context; the fast-path switches set on
+            it (memoization, fused, compiled, batched and shape-batched
+            hub paths) govern the sweep.  ``None`` runs with every fast
+            path on.
 
     Returns:
         ``(table, matrix)`` where ``table[config][app]`` is the mean
@@ -69,10 +64,7 @@ def build_table2(
     )
     configs = [Oracle(), pa, Sidewinder()]
     apps = [SirenDetectorApp(), MusicJournalApp(), PhraseDetectionApp()]
-    matrix = run_matrix(
-        configs, apps, traces, jobs=jobs, cache=cache, fuse=fuse,
-        compiled=compiled, batch=batch, shape_batch=shape_batch,
-    )
+    matrix = run_matrix(configs, apps, traces, jobs=jobs, context=context)
     table: Dict[str, Dict[str, float]] = {}
     for config in configs:
         table[config.name] = {

@@ -400,33 +400,7 @@ class BatchedPlan:
         rows: List[Dict[str, Tuple[np.ndarray, np.ndarray, float]]],
     ) -> Tuple[List[List[WakeEvent]], BatchDispatchInfo]:
         """:meth:`execute_batch` plus padding/sub-batch accounting."""
-        if len(rows) == 1:
-            return (
-                [self.plan.execute(rows[0])],
-                BatchDispatchInfo(sub_batches=0, valid_cells=0, padded_cells=0),
-            )
-        results: List[Optional[List[WakeEvent]]] = [None] * len(rows)
-        sub_batches = valid_cells = padded_cells = 0
-        for group in split_for_padding(self._row_lengths(rows)):
-            if len(group) == 1:
-                results[group[0]] = self.plan.execute(rows[group[0]])
-                continue
-            env = self._stack([rows[idx] for idx in group])
-            valid, padded = _cell_counts(env)
-            out = self._run_steps(env)
-            for idx, events in zip(group, self._unstack(out)):
-                results[idx] = events
-            sub_batches += 1
-            valid_cells += valid
-            padded_cells += padded
-        return (
-            results,
-            BatchDispatchInfo(
-                sub_batches=sub_batches,
-                valid_cells=valid_cells,
-                padded_cells=padded_cells,
-            ),
-        )
+        return self._dispatch(rows)
 
     def execute_shape_batch(
         self,
@@ -456,23 +430,48 @@ class BatchedPlan:
         ],
     ) -> Tuple[List[List[WakeEvent]], BatchDispatchInfo]:
         """:meth:`execute_shape_batch` plus padding/sub-batch accounting."""
+        return self._dispatch(
+            [channel_data for _, channel_data in rows],
+            [plan for plan, _ in rows],
+        )
+
+    # -- internals ----------------------------------------------------
+
+    def _dispatch(
+        self,
+        rows: List[Dict[str, Tuple[np.ndarray, np.ndarray, float]]],
+        row_plans: Optional[List[CompiledPlan]] = None,
+    ) -> Tuple[List[List[WakeEvent]], BatchDispatchInfo]:
+        """The stacked-dispatch loop behind both batch entry points.
+
+        ``row_plans`` is ``None`` for a homogeneous batch (every row
+        runs this plan) or one plan per row for a shape batch.  Rows
+        are split into padding-bounded sub-batches
+        (:func:`split_for_padding`); a sub-batch of one runs its own
+        plan unstacked.
+        """
+
+        def alone(idx: int) -> List[WakeEvent]:
+            plan = self.plan if row_plans is None else row_plans[idx]
+            return plan.execute(rows[idx])
+
         if len(rows) == 1:
-            plan, channel_data = rows[0]
             return (
-                [plan.execute(channel_data)],
+                [alone(0)],
                 BatchDispatchInfo(sub_batches=0, valid_cells=0, padded_cells=0),
             )
         results: List[Optional[List[WakeEvent]]] = [None] * len(rows)
         sub_batches = valid_cells = padded_cells = 0
-        lengths = self._row_lengths([channel_data for _, channel_data in rows])
-        for group in split_for_padding(lengths):
+        for group in split_for_padding(self._row_lengths(rows)):
             if len(group) == 1:
-                plan, channel_data = rows[group[0]]
-                results[group[0]] = plan.execute(channel_data)
+                results[group[0]] = alone(group[0])
                 continue
-            env = self._stack([rows[idx][1] for idx in group])
+            env = self._stack([rows[idx] for idx in group])
             valid, padded = _cell_counts(env)
-            out = self._run_steps(env, row_plans=[rows[idx][0] for idx in group])
+            group_plans = (
+                None if row_plans is None else [row_plans[idx] for idx in group]
+            )
+            out = self._run_steps(env, row_plans=group_plans)
             for idx, events in zip(group, self._unstack(out)):
                 results[idx] = events
             sub_batches += 1
@@ -486,8 +485,6 @@ class BatchedPlan:
                 padded_cells=padded_cells,
             ),
         )
-
-    # -- internals ----------------------------------------------------
 
     def _row_lengths(
         self, rows: List[Dict[str, Tuple[np.ndarray, np.ndarray, float]]]

@@ -166,29 +166,21 @@ class CostModel:
         """The tier the next run of ``fingerprint`` should use.
 
         ``allowed`` lists the tiers actually available for this graph
-        under the context's flags (e.g. no ``compiled`` entry when the
-        graph is not compile-eligible).  Returns a calibrated override
-        if one applies, the preferred tier while it is unprobed or
-        proven cheap, the next unprobed tier while probing, and the
-        cheapest observed seconds-per-item once every allowed tier has
-        a sample.
+        under the context's switches (e.g. no ``compiled`` entry when
+        the graph is not compile-eligible).  Returns the settled tier
+        (:meth:`selection`: a calibrated override, the preferred tier
+        when proven cheap, or the cheapest observed seconds-per-item
+        once every allowed tier has a sample); while unsettled, the
+        preferred tier until it is measured, then the next unprobed
+        tier.
         """
         ordered = [t for t in TIER_PREFERENCE if t in allowed]
         if not ordered:
             raise ValueError(f"no allowed tiers for {fingerprint!r}")
-        override = self.table.get(fingerprint)
-        if override in ordered:
-            return override
-        preferred = ordered[0]
-        head = self._stats.get((fingerprint, preferred))
-        if head is None or head.mean_run_seconds < self.probe_threshold_s:
-            return preferred
-        for tier in ordered[1:]:
-            if (fingerprint, tier) not in self._stats:
-                return tier
-        return min(
-            ordered, key=lambda t: self._stats[(fingerprint, t)].seconds_per_item
-        )
+        settled = self.selection(fingerprint, ordered)
+        if settled is not None:
+            return settled
+        return next(t for t in ordered if (fingerprint, t) not in self._stats)
 
     def selection(
         self, fingerprint: str, allowed: Sequence[str]

@@ -324,9 +324,6 @@ class Scheduler:
                 jobs=self._jobs,
                 profile=self._profile,
                 context=self._context,
-                cache=self._context.cache,
-                fuse=self._context.fuse,
-                compiled=self._context.compiled,
             )
             engine_runs += len(ran)
             for key, result in zip(ran, results):

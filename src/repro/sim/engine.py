@@ -30,8 +30,8 @@ sidesteps this — each worker owns a private context.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
+import os
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -158,6 +158,14 @@ class CacheStats:
 class RunContext:
     """Memoized shared state for a batch of simulation runs.
 
+    The five fast-path switches (``cache``, ``fuse``, ``compiled``,
+    ``batch``, ``shape_batch``) are set here and nowhere else: the plan
+    executor, the matrix runner, the figure and table builders and the
+    serving scheduler all take a ``context`` and read the switches off
+    it — including when they fan a plan across pool workers, whose
+    contexts are built from :attr:`switches`.  The CLI's ``--no-*``
+    flags build one context.
+
     Args:
         cache: When False every method computes from scratch — the
             ``--no-cache`` escape hatch; results are identical either
@@ -271,6 +279,14 @@ class RunContext:
         self._detections: Dict[tuple, Tuple["Detection", ...]] = {}
         self._events: Dict[tuple, Tuple["GroundTruthEvent", ...]] = {}
         self._apps: Dict[int, "SensingApplication"] = {}
+
+    @property
+    def switches(self) -> Tuple[bool, bool, bool, bool, bool]:
+        """``(cache, fuse, compiled, batch, shape_batch)``, in constructor order."""
+        return (
+            bool(self.cache), bool(self.fuse), bool(self.compiled),
+            bool(self.batch), bool(self.shape_batch),
+        )
 
     # -- compiled conditions -------------------------------------------
 
@@ -1100,17 +1116,15 @@ _WORKER_TRACES: Dict[str, Trace] = {}
 
 
 def _pool_worker_init(
-    payload: tuple,
-    cache: bool,
-    fuse: bool,
-    compiled: bool,
-    batch: bool,
-    shape_batch: bool,
+    payload: tuple, switches: Tuple[bool, bool, bool, bool, bool]
 ) -> None:
     """Pool initializer: one warm context + trace registry per worker.
 
-    Runs once per worker process.  Each trace crosses into each worker
-    exactly once, here; later batch dispatches refer to traces by name.
+    Runs once per worker process.  ``switches`` is the dispatching
+    context's :attr:`RunContext.switches`, so every worker runs the
+    same fast paths as the context the caller handed in.  Each trace
+    crosses into each worker exactly once, here; later batch dispatches
+    refer to traces by name.
     ``payload`` is a trace-shipping envelope from
     :func:`repro.sim.shm.export_traces` — either hollow traces backed
     by shared-memory segments (so N workers map one copy of the channel
@@ -1120,13 +1134,7 @@ def _pool_worker_init(
     global _WORKER_CONTEXT, _WORKER_TRACES
     from repro.sim.shm import attach_traces
 
-    _WORKER_CONTEXT = RunContext(
-        cache=cache,
-        fuse=fuse,
-        compiled=compiled,
-        batch=batch,
-        shape_batch=shape_batch,
-    )
+    _WORKER_CONTEXT = RunContext(*switches)
     _WORKER_TRACES = {trace.name: trace for trace in attach_traces(payload)}
 
 
@@ -1157,14 +1165,17 @@ class EnginePool:
     hits the worker's caches immediately.
 
     Pool lifetime used to be module-global, which made two contexts
-    with different ``batch=`` / ``fuse=`` settings contend for one key
+    with different fast-path switches contend for one key
     space — every settings flip tore down the other context's warm
     workers.  Now each :class:`RunContext` owns its own handle
     (``context.pool``), and the module keeps one default handle for
     context-less callers; :func:`shutdown_pool` tears down the default,
     :meth:`RunContext.shutdown_pool` a context's own.  Handles are
-    cheap until :meth:`obtain` actually forks workers, and every live
-    handle is torn down at interpreter exit.
+    cheap until :meth:`obtain` actually forks workers.  Live workers
+    and their shared-memory segments are released by
+    :meth:`shutdown`, when the handle is garbage-collected (a caller
+    that drops its context without shutting it down), or at
+    interpreter exit — whichever comes first.
     """
 
     def __init__(self) -> None:
@@ -1173,7 +1184,7 @@ class EnginePool:
         self._workers: int = 0
         self._traces: Dict[str, Trace] = {}
         self._export = None  # TraceExport keeping shm segments alive
-        _LIVE_POOLS.add(self)
+        self._release: Optional[weakref.finalize] = None
 
     @property
     def export(self):
@@ -1187,12 +1198,9 @@ class EnginePool:
 
     def shutdown(self) -> None:
         """Tear down the workers (idempotent; the handle stays usable)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-        if self._export is not None:
-            # Workers are gone (shutdown waited), so the segments can
-            # be unlinked; until here this export kept them alive.
-            self._export.close()
+        if self._release is not None:
+            self._release()
+        self._release = None
         self._pool = None
         self._key = None
         self._workers = 0
@@ -1200,19 +1208,13 @@ class EnginePool:
         self._export = None
 
     def obtain(
-        self,
-        workers: int,
-        cache: bool,
-        fuse: bool,
-        compiled: bool,
-        batch: bool,
-        shape_batch: bool,
-        traces: List[Trace],
+        self, workers: int, context: RunContext, traces: List[Trace]
     ) -> Tuple[ProcessPoolExecutor, int, bool]:
-        """The pool for these settings, (re)built if needed.
+        """The pool for ``context``'s switches, (re)built if needed.
 
-        Reuses the live pool when its cache/fuse/compiled/batch
-        settings match, it has at least as many workers as requested,
+        Reuses the live pool when all five of the context's
+        :attr:`~RunContext.switches` match the ones its workers were
+        built with, it has at least as many workers as requested,
         and every plan trace is already registered in the workers (same
         name *and* same object — a different object under a known name
         would silently run on stale data).  A warm pool with surplus
@@ -1228,10 +1230,7 @@ class EnginePool:
         """
         from repro.sim.shm import export_traces
 
-        key = (
-            bool(cache), bool(fuse), bool(compiled), bool(batch),
-            bool(shape_batch),
-        )
+        key = context.switches
         if (
             self._pool is not None
             and self._key == key
@@ -1248,7 +1247,10 @@ class EnginePool:
         self._pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_pool_worker_init,
-            initargs=(export.payload, cache, fuse, compiled, batch, shape_batch),
+            initargs=(export.payload, key),
+        )
+        self._release = weakref.finalize(
+            self, _release_pool, self._pool, export, os.getpid()
         )
         self._key = key
         self._workers = workers
@@ -1258,23 +1260,11 @@ class EnginePool:
         self._export = export
         return self._pool, workers, False
 
-    def is_warm(
-        self,
-        plan: RunPlan,
-        jobs: int,
-        cache: bool = True,
-        fuse: bool = True,
-        compiled: bool = True,
-        batch: bool = True,
-        shape_batch: bool = True,
-    ) -> bool:
+    def is_warm(self, plan: RunPlan, jobs: int, context: RunContext) -> bool:
         """True when this handle's live pool could serve the plan as-is."""
         if self._pool is None or jobs <= 1:
             return False
-        if self._key != (
-            bool(cache), bool(fuse), bool(compiled), bool(batch),
-            bool(shape_batch),
-        ):
+        if self._key != context.switches:
             return False
         return all(
             self._traces.get(cell.trace.name) is cell.trace
@@ -1282,46 +1272,24 @@ class EnginePool:
         )
 
 
-# Every handle ever constructed, so interpreter exit reaps stray
-# workers even when an embedder forgot its own shutdown.  Weak refs:
-# a collected handle already lost its workers via ProcessPoolExecutor
-# finalization, and pinning it here would leak every per-context pool.
-_LIVE_POOLS: "weakref.WeakSet[EnginePool]" = weakref.WeakSet()
+def _release_pool(pool: ProcessPoolExecutor, export, owner: int) -> None:
+    """Stop a handle's workers, then unlink the segments they mapped.
+
+    Only the process that built the pool (``owner``) tears it down: a
+    forked worker that inherited the handle and collects it must not
+    unlink segments its siblings still map.
+    """
+    if os.getpid() != owner:
+        return
+    pool.shutdown(wait=True, cancel_futures=True)
+    # Workers are gone (shutdown waited), so the segments can be
+    # unlinked; until here this export kept them alive.
+    export.close()
+
 
 #: The default handle, used by ``execute_plan(..., context=None)``
 #: callers; one warm pool therefore still persists across bare calls.
 _DEFAULT_POOL = EnginePool()
-
-
-def _shutdown_all_pools() -> None:
-    for handle in list(_LIVE_POOLS):
-        handle.shutdown()
-
-
-atexit.register(_shutdown_all_pools)
-
-
-def pool_is_warm(
-    plan: RunPlan,
-    jobs: int,
-    cache: bool = True,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
-    pool: Optional[EnginePool] = None,
-) -> bool:
-    """True when the (default or given) pool could serve this plan as-is."""
-    handle = pool if pool is not None else _DEFAULT_POOL
-    return handle.is_warm(
-        plan,
-        jobs,
-        cache=cache,
-        fuse=fuse,
-        compiled=compiled,
-        batch=batch,
-        shape_batch=shape_batch,
-    )
 
 
 def shutdown_pool() -> None:
@@ -1395,13 +1363,8 @@ def _run_serial(
 def execute_plan(
     plan: RunPlan,
     jobs: int = 1,
-    cache: bool = True,
     profile: PhonePowerProfile = NEXUS4,
     context: Optional[RunContext] = None,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
 ) -> List["SimulationResult"]:
     """Execute a plan and return results in plan (index) order.
 
@@ -1409,15 +1372,7 @@ def execute_plan(
     wrapper discards the :class:`ExecutionInfo`.
     """
     results, _ = execute_plan_with_info(
-        plan,
-        jobs=jobs,
-        cache=cache,
-        profile=profile,
-        context=context,
-        fuse=fuse,
-        compiled=compiled,
-        batch=batch,
-        shape_batch=shape_batch,
+        plan, jobs=jobs, profile=profile, context=context
     )
     return results
 
@@ -1425,13 +1380,8 @@ def execute_plan(
 def execute_plan_with_info(
     plan: RunPlan,
     jobs: int = 1,
-    cache: bool = True,
     profile: PhonePowerProfile = NEXUS4,
     context: Optional[RunContext] = None,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
 ) -> Tuple[List["SimulationResult"], ExecutionInfo]:
     """Execute a plan; return results in plan order plus how they ran.
 
@@ -1443,90 +1393,40 @@ def execute_plan_with_info(
             startup (``MIN_POOL_CELLS``) or a warm compatible pool is
             already alive; otherwise the plan runs serially and the
             returned :class:`ExecutionInfo` says why.
-        cache: Enable :class:`RunContext` memoization (results are
-            identical either way).
         profile: Phone power profile for every cell.
-        context: Optional externally owned context for serial runs —
-            pass the same context again to reuse a warm cache across
-            sweeps.  Ignored when the pool runs the plan (worker
-            processes cannot share it).
-        fuse: Enable the fused hub fast path (results are identical
-            either way; the ``--no-fuse`` escape hatch).
-        compiled: Enable the compiled whole-trace hub path (results
-            are identical either way; the ``--no-compile`` escape
-            hatch).
-        batch: Enable tensor-major batching of same-condition cells
-            (results are bit-identical either way; the ``--no-batch``
-            escape hatch).  Serial plans prewarm the shared context's
-            hub-run cache with one batched execution per condition
-            group before the per-cell loop.
-        shape_batch: Enable shape-keyed batching of *different*
-            conditions sharing one graph shape (results are
-            bit-identical either way; the ``--no-shape-batch`` escape
-            hatch).  Rides on the batched path, so it only matters
-            when ``batch`` is on.
+        context: The context whose fast-path switches
+            (:attr:`RunContext.switches`) the plan runs under.  Serial
+            runs execute through it — pass the same context again to
+            reuse a warm cache across sweeps.  Pool runs go through its
+            own pool handle, whose workers each build a private context
+            with the same switches (processes cannot share one).
+            ``None`` means a fresh default context when serial and the
+            module's shared default pool when pooled.
 
     The pool persists across calls: workers are forked once, each
     builds a warm :class:`RunContext` and receives every trace exactly
     once via the pool initializer (through shared memory when the
-    platform supports it), and later calls with the same settings and
+    platform supports it), and later calls with the same switches and
     traces dispatch only (config, app) pairs.  Cells are dispatched in
     trace-major batches so one IPC round trip covers a whole trace's
     cells.
     """
     n = len(plan.cells)
-    if jobs <= 1:
-        ctx = (
-            context
-            if context is not None
-            else RunContext(
-                cache=cache,
-                fuse=fuse,
-                compiled=compiled,
-                batch=batch,
-                shape_batch=shape_batch,
-            )
-        )
-        indexed = _run_serial(plan, profile, ctx)
-        info = ExecutionInfo(
-            requested_jobs=jobs,
-            mode="serial",
-            workers=1,
-            batches=0,
-            pool_reused=False,
-            reason="jobs<=1: serial execution requested",
-            cache_stats=ctx.stats.as_dict(),
-        )
-        return indexed_results(indexed), info
-
+    ctx = context if context is not None else RunContext()
     # Pool runs go through the caller's context pool when a context is
     # supplied (per-shard isolation in the serving tier), and through
     # the module default handle otherwise (so bare sweep calls still
     # share one warm pool across invocations).
-    pool_handle = context.pool if context is not None else _DEFAULT_POOL
-    groups = _group_cells_by_trace(plan.cells)
-    workers = max(1, min(jobs, len(groups)))
-    warm = pool_handle.is_warm(
-        plan,
-        jobs,
-        cache=cache,
-        fuse=fuse,
-        compiled=compiled,
-        batch=batch,
-        shape_batch=shape_batch,
-    )
-    if n < MIN_POOL_CELLS and not warm:
-        ctx = (
-            context
-            if context is not None
-            else RunContext(
-                cache=cache,
-                fuse=fuse,
-                compiled=compiled,
-                batch=batch,
-                shape_batch=shape_batch,
-            )
+    pool_handle = ctx.pool if context is not None else _DEFAULT_POOL
+    serial_reason = None
+    if jobs <= 1:
+        serial_reason = "jobs<=1: serial execution requested"
+    elif n < MIN_POOL_CELLS and not pool_handle.is_warm(plan, jobs, ctx):
+        serial_reason = (
+            f"plan of {n} cells is below the pool threshold "
+            f"({MIN_POOL_CELLS}) and no warm pool exists"
         )
+    if serial_reason is not None:
         indexed = _run_serial(plan, profile, ctx)
         info = ExecutionInfo(
             requested_jobs=jobs,
@@ -1534,21 +1434,18 @@ def execute_plan_with_info(
             workers=1,
             batches=0,
             pool_reused=False,
-            reason=(
-                f"plan of {n} cells is below the pool threshold "
-                f"({MIN_POOL_CELLS}) and no warm pool exists"
-            ),
+            reason=serial_reason,
             cache_stats=ctx.stats.as_dict(),
         )
         return indexed_results(indexed), info
 
+    groups = _group_cells_by_trace(plan.cells)
+    workers = max(1, min(jobs, len(groups)))
     traces: List[Trace] = []
     for cell in plan.cells:
         if not traces or traces[-1] is not cell.trace:
             traces.append(cell.trace)
-    pool, workers, reused = pool_handle.obtain(
-        workers, cache, fuse, compiled, batch, shape_batch, traces
-    )
+    pool, workers, reused = pool_handle.obtain(workers, ctx, traces)
     futures = [
         pool.submit(
             _run_batch,

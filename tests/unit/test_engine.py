@@ -386,3 +386,76 @@ class TestExecutor:
         assert rows(first) == rows(serial)
         assert rows(second) == rows(serial)
         shutdown_pool()
+
+
+def _worker_switches():
+    """Runs inside a pool worker: its private context's five switches."""
+    from repro.sim import engine
+
+    ctx = engine._WORKER_CONTEXT
+    return (ctx.cache, ctx.fuse, ctx.compiled, ctx.batch, ctx.shape_batch)
+
+
+def _pool_switches(context):
+    """Every distinct switch tuple the context's pool workers report."""
+    pool = context.pool._pool
+    assert pool is not None, "the plan did not run on the context's pool"
+    return {pool.submit(_worker_switches).result() for _ in range(4)}
+
+
+class TestPoolSwitches:
+    """Pool workers run with the switches of the context handed in."""
+
+    def test_execute_plan_workers_take_context_switches(
+        self, robot_trace, quiet_robot_trace
+    ):
+        from repro.sim.engine import MIN_POOL_CELLS, execute_plan_with_info
+
+        configs = [AlwaysAwake(), Oracle(), Sidewinder()] * 5
+        plan = plan_matrix(configs, [StepsApp()], [robot_trace, quiet_robot_trace])
+        assert len(plan) >= MIN_POOL_CELLS
+        ctx = RunContext(batch=False, shape_batch=False, fuse=False)
+        try:
+            pooled, info = execute_plan_with_info(plan, jobs=2, context=ctx)
+            assert info.mode == "pool"
+            assert _pool_switches(ctx) == {(True, False, True, False, False)}
+        finally:
+            ctx.shutdown_pool()
+        serial = execute_plan(plan)
+        assert [r.average_power_mw for r in pooled] == [
+            r.average_power_mw for r in serial
+        ]
+
+    def test_service_pool_workers_take_context_switches(self):
+        from repro.serve import Completed, ConditionService, Submission
+        from repro.sim.engine import MIN_POOL_CELLS
+        from repro.traces.robot import RobotRunConfig, generate_robot_run
+
+        traces = [
+            generate_robot_run(
+                RobotRunConfig(group=1 + i % 2, duration_s=60.0, seed=90 + i)
+            )
+            for i in range(4)
+        ]
+        registry = {trace.name: trace for trace in traces}
+        submissions = [
+            Submission(tenant=f"t{i}", trace=trace.name, app=app, hub=hub)
+            for i, (trace, app, hub) in enumerate(
+                (trace, app, hub)
+                for trace in traces
+                for app in ("steps", "transitions", "headbutts")
+                for hub in ("default", "fpga")
+            )
+        ]
+        assert len(submissions) >= MIN_POOL_CELLS
+        ctx = RunContext(batch=False)
+        svc = ConditionService(registry, jobs=2, context=ctx)
+        try:
+            for submission in submissions:
+                svc.submit(submission)
+            responses = svc.pump()
+            assert len(responses) == len(submissions)
+            assert all(isinstance(r, Completed) for r in responses)
+            assert _pool_switches(ctx) == {(True, True, True, False, True)}
+        finally:
+            svc.shutdown()
