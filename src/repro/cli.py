@@ -326,29 +326,39 @@ def _serve_traces(duration_s: float) -> Dict[str, Trace]:
 
 
 def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Run the deterministic fleet load generator against the service."""
+    """Drive the deterministic fleet load generator through a cluster.
+
+    Closed-loop by default: one :func:`run_cluster_fleet` drive over
+    ``--shards`` rendezvous-routed shards (one shard is the single
+    service).  ``--open-loop RATE`` switches to the Poisson-arrival
+    overload sweep on simulated time, ``--stream`` to the streamed
+    fleet.  A planned kill (``--kill-after``, ``--kill-shard``) is
+    always recovered from the shard's journal.  ``--digest`` prints the
+    topology-independent **completion digest** (equal across shard
+    counts) and the **response digest** over ``(shard, response)``
+    pairs, which also pins ticket ids, latencies and dedup flags.
+    """
     from repro.apps import all_applications
-    from repro.errors import ServiceKilled
     from repro.serve import (
-        ConditionService,
         LoadSpec,
         ServiceFaultPlan,
+        ShardCluster,
         TenantQuota,
+        completion_digest,
         fleet_workload,
         response_digest,
-        run_fleet,
-        run_fleet_with_recovery,
+        run_cluster_fleet,
     )
+    shards = args.shards
+    if args.kill_shard is not None and not (0 <= args.kill_shard < shards):
+        print(f"--kill-shard must be in [0, {shards})", file=sys.stderr)
+        return 2
+    if (args.kill_after or args.kill_shard is not None) and not args.journal:
+        print("--kill-after / --kill-shard require --journal (a directory "
+              "of per-shard journals)", file=sys.stderr)
+        return 2
     if args.stream:
         return _serve_bench_stream(args)
-    if args.shards is not None or args.open_loop is not None:
-        return _serve_bench_cluster(args)
-    if args.kill_shard is not None:
-        print("--kill-shard requires --shards", file=sys.stderr)
-        return 2
-    if (args.kill_after or args.recover) and not args.journal:
-        print("--kill-after / --recover require --journal", file=sys.stderr)
-        return 2
     duration = 120.0 if args.quick else args.duration
     traces = _serve_traces(duration)
     spec = LoadSpec(
@@ -357,63 +367,53 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         min_submissions=1,
         max_submissions=2 if args.quick else 3,
     )
-    apps = all_applications()
-    submissions = fleet_workload(spec, apps, list(traces.values()))
-    service_kwargs = dict(
+    if args.open_loop is not None:
+        return _serve_bench_open_loop(args, shards, traces, spec)
+    submissions = fleet_workload(spec, all_applications(), list(traces.values()))
+    cost_model = _load_cost_table(args)
+    faults = None
+    if args.kill_shard is not None:
+        faults = {
+            args.kill_shard: ServiceFaultPlan(
+                kill_at_pump=args.kill_after or 1,
+                kill_pump_phase="store",
+            )
+        }
+    elif args.kill_after:
+        faults = {0: ServiceFaultPlan(kill_after_accepts=args.kill_after)}
+    cluster = ShardCluster(
+        traces,
         quota=TenantQuota(max_pending=args.max_pending),
+        shards=shards,
         capacity=args.capacity,
         jobs=args.jobs,
+        journal_dir=args.journal,
+        faults=faults,
+        # Shards share one cost model (they pump sequentially in one
+        # process), so batch-size samples pool across the cluster; a
+        # rebuilt shard starts with cold engine caches.
+        context_factory=lambda: _run_context(args, cost_model),
     )
-    cost_model = _load_cost_table(args)
-    faults = (
-        ServiceFaultPlan(kill_after_accepts=args.kill_after)
-        if args.kill_after
-        else None
-    )
-    service = ConditionService(
-        traces, journal=args.journal, faults=faults,
-        context=_run_context(args, cost_model), **service_kwargs,
-    )
-    stats = None
-    if args.recover:
-        report, stats, service = run_fleet_with_recovery(
-            service,
-            submissions,
-            traces,
-            args.journal,
-            pump_every=args.pump_every,
-            # A restarted service starts with cold engine caches.
-            recover_kwargs=dict(
-                service_kwargs, context=_run_context(args, cost_model)
-            ),
+    try:
+        report = run_cluster_fleet(
+            cluster, submissions, pump_every=args.pump_every
         )
-        service.shutdown()
-    else:
-        try:
-            report = run_fleet(
-                service, submissions, pump_every=args.pump_every
-            )
-        except ServiceKilled as error:
-            print(
-                f"{error}; journal preserved at {args.journal} "
-                "(rerun with --recover to resume)"
-            )
-            return 1
-        finally:
-            service.shutdown()
+    finally:
+        cluster.shutdown()
     print(
-        f"fleet {args.fleet} devices | workload {len(submissions)} "
-        f"submissions (seed {args.seed})"
+        f"fleet {args.fleet} devices | {shards} shard(s) | workload "
+        f"{len(submissions)} submissions (seed {args.seed})"
     )
     print(report.metrics.describe())
-    if stats is not None:
-        print(f"recovery: {stats.describe()}")
+    for shard, stats in sorted(report.recoveries.items()):
+        print(f"shard {shard} recovery: {stats.describe()}")
     print(
         f"wall {report.wall_s:.2f} s | sustained "
         f"{report.submissions_per_second:,.0f} submissions/s"
     )
     if args.digest:
-        print(f"digest {response_digest(report.responses)}")
+        print(f"digest {completion_digest(report.pairs)}")
+        print(f"response-digest {response_digest(report.responses)}")
     if cost_model is not None:
         cost_model.save(Path(args.cost_table))
         print(f"wrote cost table to {args.cost_table}")
@@ -435,99 +435,6 @@ def _load_cost_table(args: argparse.Namespace):
     if path.exists():
         return CostModel.load(path)
     return CostModel()
-
-
-def _serve_bench_cluster(args: argparse.Namespace) -> int:
-    """serve-bench over a shard cluster (``--shards`` / ``--open-loop``).
-
-    Closed-loop by default (the cluster analogue of the single-service
-    drive); ``--open-loop RATE`` switches to the Poisson-arrival
-    overload sweep on simulated time.  ``--digest`` prints the
-    **completion digest** — the topology-independent content hash that
-    is equal across shard counts — not the single-service response
-    digest (which bakes in per-shard ticket ids and can only ever
-    match itself).
-    """
-    from repro.apps import all_applications
-    from repro.serve import (
-        LoadSpec,
-        ServiceFaultPlan,
-        ShardCluster,
-        TenantQuota,
-        completion_digest,
-        fleet_workload,
-        run_cluster_fleet,
-        run_cluster_fleet_with_recovery,
-    )
-    shards = args.shards if args.shards is not None else 1
-    if args.kill_shard is not None and not (0 <= args.kill_shard < shards):
-        print(f"--kill-shard must be in [0, {shards})", file=sys.stderr)
-        return 2
-    if args.kill_shard is not None and not args.journal:
-        print("--kill-shard requires --journal (a directory of "
-              "per-shard journals)", file=sys.stderr)
-        return 2
-    duration = 120.0 if args.quick else args.duration
-    traces = _serve_traces(duration)
-    spec = LoadSpec(
-        fleet=args.fleet,
-        seed=args.seed,
-        min_submissions=1,
-        max_submissions=2 if args.quick else 3,
-    )
-    if args.open_loop is not None:
-        return _serve_bench_open_loop(args, shards, traces, spec)
-    submissions = fleet_workload(spec, all_applications(), list(traces.values()))
-    cluster_kwargs: Dict[str, object] = dict(
-        quota=TenantQuota(max_pending=args.max_pending),
-        capacity=args.capacity,
-        jobs=args.jobs,
-        shards=shards,
-    )
-    cost_model = _load_cost_table(args)
-    # Shards share one cost model (they pump sequentially in one
-    # process), so batch-size samples pool across the cluster.
-    cluster_kwargs["context_factory"] = lambda: _run_context(args, cost_model)
-    faults = None
-    if args.kill_shard is not None:
-        faults = {
-            args.kill_shard: ServiceFaultPlan(
-                kill_at_pump=args.kill_after or 1,
-                kill_pump_phase="store",
-            )
-        }
-    cluster = ShardCluster(
-        traces, journal_dir=args.journal, faults=faults, **cluster_kwargs
-    )
-    stats = {}
-    try:
-        if args.kill_shard is not None:
-            report, stats = run_cluster_fleet_with_recovery(
-                cluster, submissions, pump_every=args.pump_every
-            )
-        else:
-            report = run_cluster_fleet(
-                cluster, submissions, pump_every=args.pump_every
-            )
-    finally:
-        cluster.shutdown()
-    print(
-        f"fleet {args.fleet} devices | {shards} shard(s) | workload "
-        f"{len(submissions)} submissions (seed {args.seed})"
-    )
-    print(report.metrics.describe())
-    for shard in sorted(stats):
-        print(f"shard {shard} recovery: {stats[shard].describe()}")
-    print(
-        f"wall {report.wall_s:.2f} s | sustained "
-        f"{report.submissions_per_second:,.0f} submissions/s"
-    )
-    if args.digest:
-        print(f"digest {completion_digest(report.pairs)}")
-    if cost_model is not None:
-        cost_model.save(Path(args.cost_table))
-        print(f"wrote cost table to {args.cost_table}")
-    return 0
 
 
 def _serve_bench_stream(args: argparse.Namespace) -> int:
@@ -555,14 +462,7 @@ def _serve_bench_stream(args: argparse.Namespace) -> int:
         stream_fleet_plan,
         stream_replay_workload,
     )
-    shards = args.shards if args.shards is not None else 1
-    if args.kill_shard is not None and not (0 <= args.kill_shard < shards):
-        print(f"--kill-shard must be in [0, {shards})", file=sys.stderr)
-        return 2
-    if args.kill_shard is not None and not args.journal:
-        print("--kill-shard requires --journal (a directory of "
-              "per-shard journals)", file=sys.stderr)
-        return 2
+    shards = args.shards
     spec = StreamLoadSpec(
         fleet=args.fleet,
         seed=args.seed,
@@ -880,31 +780,29 @@ def build_parser() -> argparse.ArgumentParser:
                         "exists and save the (updated) model there "
                         "after the run, so tier and shape-batching "
                         "choices start calibrated next time")
-    p.add_argument("--journal", metavar="PATH",
-                   help="write-ahead journal path (enables durability); "
-                        "with --shards, a directory of per-shard "
-                        "journals (shard-00.wal, ...)")
+    p.add_argument("--journal", metavar="DIR",
+                   help="enable durability: a directory of per-shard "
+                        "write-ahead journals (shard-00.wal, ...)")
     p.add_argument("--kill-after", type=int, metavar="N",
-                   help="fault-inject: kill the service after N accepted "
-                        "submissions (requires --journal); with "
-                        "--kill-shard, the pump round the shard dies in")
-    p.add_argument("--recover", action="store_true",
-                   help="recover killed services from the journal and "
-                        "finish the workload (requires --journal)")
+                   help="fault-inject: kill shard 0 after N accepted "
+                        "submissions; with --kill-shard, the pump round "
+                        "the shard dies in.  The shard is recovered "
+                        "from its journal and the drive finishes "
+                        "(requires --journal)")
     p.add_argument("--digest", action="store_true",
-                   help="print an order-insensitive SHA-256 digest of "
-                        "all terminal responses; with --shards, the "
-                        "topology-independent completion digest "
-                        "(equal across shard counts)")
-    p.add_argument("--shards", type=int, metavar="N",
+                   help="print the topology-independent completion "
+                        "digest (equal across shard counts) and the "
+                        "order-insensitive response digest over "
+                        "(shard, response) pairs")
+    p.add_argument("--shards", type=int, default=1, metavar="N",
                    help="serve through a cluster of N rendezvous-routed "
                         "shards, each with its own scheduler, engine "
-                        "context, pool and journal")
+                        "context, pool and journal (default 1)")
     p.add_argument("--kill-shard", type=int, metavar="I",
                    help="fault-inject: kill shard I at pump round "
                         "--kill-after (default 1) and recover it from "
                         "its own journal while the rest keep serving "
-                        "(requires --shards and --journal)")
+                        "(requires --journal)")
     p.add_argument("--open-loop", type=float, metavar="RATE",
                    help="open-loop mode: sweep Poisson arrivals on "
                         "simulated time at multiples of RATE "

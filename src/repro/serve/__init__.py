@@ -15,7 +15,11 @@ the simulation engine (:mod:`repro.sim.engine`):
   style request coalescing), and batches the survivors trace-major onto
   the engine's persistent pool;
 * :mod:`~repro.serve.loadgen` — a deterministic seeded fleet workload
-  generator (Zipf-ish popularity) behind ``repro serve-bench``;
+  generator (Zipf-ish popularity) and the one closed-loop fleet driver,
+  :func:`~repro.serve.loadgen.run_cluster_fleet`, behind
+  ``repro serve-bench``: a single service is a one-shard cluster, and a
+  shard killed mid-drive is rebuilt from its journal and re-driven
+  through the submissions it lost;
 * :mod:`~repro.serve.journal` / :mod:`~repro.serve.persist` — the
   durability tier: a CRC-framed write-ahead journal (accepts made
   durable before tickets escape, fsync batched per round) and the
@@ -75,7 +79,6 @@ from repro.serve.ingest import StreamIngest, StreamSubscriptionState
 from repro.serve.loadgen import (
     ClusterLoadReport,
     DeviceStreamPlan,
-    LoadReport,
     LoadSpec,
     STREAM_INCREMENTAL_IL,
     STREAM_REPLAY_IL,
@@ -86,9 +89,6 @@ from repro.serve.loadgen import (
     reference_result,
     response_digest,
     run_cluster_fleet,
-    run_cluster_fleet_with_recovery,
-    run_fleet,
-    run_fleet_with_recovery,
     stream_fleet_plan,
     stream_replay_workload,
     submission_content_key,
@@ -147,7 +147,6 @@ __all__ = [
     "JournalWriter",
     "Lane",
     "LaneQueue",
-    "LoadReport",
     "LoadSpec",
     "LogicalClock",
     "MetricsSnapshot",
@@ -187,9 +186,6 @@ __all__ = [
     "response_digest",
     "route_key",
     "run_cluster_fleet",
-    "run_cluster_fleet_with_recovery",
-    "run_fleet",
-    "run_fleet_with_recovery",
     "run_open_loop",
     "run_stream_fleet",
     "shard_journal_path",

@@ -306,6 +306,20 @@ class ShardCluster:
         """Direct access to one shard's service (tests, recovery)."""
         return self._services[shard]
 
+    @property
+    def queue_depth(self) -> int:
+        """Submissions queued across the live shards."""
+        return sum(
+            service.queue_depth
+            for shard, service in enumerate(self._services)
+            if shard not in self._dead
+        )
+
+    def _shard_down(self, tenant: str, shard: int) -> Rejected:
+        return Rejected(
+            tenant, "shard_down", f"shard {shard} is down pending recovery"
+        )
+
     # -- the tenant-facing API ------------------------------------------
 
     def submit(self, submission: Submission) -> Routed:
@@ -315,19 +329,18 @@ class ShardCluster:
         ``Rejected(reason="shard_down")`` rather than silently routing
         elsewhere — re-routing would break the determinism contract
         (the same key must always land on the same shard) and the
-        recovered shard's journal replay.
+        recovered shard's journal replay.  A fault-plan kill at accept
+        time is recorded like one at pump time: the shard joins
+        :attr:`dead_shards` and this submission is refused as
+        ``shard_down`` too.
         """
         shard = self._router.route_submission(submission)
-        if shard in self._dead:
-            return Routed(
-                shard,
-                Rejected(
-                    submission.tenant,
-                    "shard_down",
-                    f"shard {shard} is down pending recovery",
-                ),
-            )
-        return Routed(shard, self._services[shard].submit(submission))
+        if shard not in self._dead:
+            try:
+                return Routed(shard, self._services[shard].submit(submission))
+            except ServiceKilled as killed:
+                self._dead[shard] = str(killed)
+        return Routed(shard, self._shard_down(submission.tenant, shard))
 
     # -- streaming ingestion --------------------------------------------
 
@@ -365,11 +378,7 @@ class ShardCluster:
             submission.tenant, submission.trace
         )
         if shard in self._dead:
-            return shard, Rejected(
-                submission.tenant,
-                "shard_down",
-                f"shard {shard} is down pending recovery",
-            )
+            return shard, self._shard_down(submission.tenant, shard)
         return shard, self._services[shard].subscribe_stream(submission)
 
     def close_stream(self, tenant: str, stream: str) -> Dict[int, tuple]:
@@ -426,10 +435,7 @@ class ShardCluster:
             for shard in range(self.shards)
             if shard not in self._dead
         }
-        while any(
-            self._services[shard].queue_depth for shard in merged
-            if shard not in self._dead
-        ):
+        while self.queue_depth:
             for shard, responses in self.pump().items():
                 merged[shard].extend(responses)
         return merged
@@ -591,6 +597,8 @@ class AsyncCluster:
             ] = future
         else:
             future.set_result(routed.response)
+            # The refusal may be an accept-time kill of the shard.
+            self._fail_dead_futures()
         return future
 
     def _resolve(self, shard: int, responses: List[Response]) -> None:
@@ -645,14 +653,7 @@ class AsyncCluster:
     async def drain(self) -> Dict[int, List[Response]]:
         """Pump until every live shard's queue is empty."""
         merged: Dict[int, List[Response]] = {}
-        while True:
-            depth = sum(
-                self._cluster.shard(shard).queue_depth
-                for shard in range(self._cluster.shards)
-                if shard not in self._cluster.dead_shards
-            )
-            if not depth:
-                break
+        while self._cluster.queue_depth:
             for shard, responses in (await self.pump()).items():
                 merged.setdefault(shard, []).extend(responses)
         return merged

@@ -1,6 +1,6 @@
 """Open-loop arrival load generation and the overload sweep.
 
-:func:`~repro.serve.loadgen.run_fleet` is *closed-loop*: the driver
+:func:`~repro.serve.loadgen.run_cluster_fleet` is *closed-loop*: the driver
 submits a block, waits for the pump, submits the next block — so the
 offered load implicitly adapts to service speed and the queue can
 never really overflow.  Real fleets are **open-loop**: devices submit
@@ -270,11 +270,7 @@ def run_open_loop(
             report.accepted += 1
     # Drain: keep pumping on cadence until every queue empties, so
     # accepted-at-the-bell work still completes with honest latency.
-    while any(
-        cluster.shard(shard).queue_depth
-        for shard in range(cluster.shards)
-        if shard not in cluster.dead_shards
-    ):
+    while cluster.queue_depth:
         clock.advance_to(next_pump)
         pump_once()
         next_pump += spec.pump_interval_s

@@ -498,16 +498,7 @@ class ConditionService:
         if not entries:
             self._health.on_pump(round_now)
             return []
-        responses, engine_runs = self._scheduler.run_batch(
-            entries, now=round_now
-        )
-        self._metrics.engine_runs += engine_runs
-        for response in responses:
-            if isinstance(response, Completed):
-                self._metrics.on_completed(response.latency, response.dedup)
-            else:
-                self._metrics.failed += 1
-            self._store.put(response.ticket.submission_id, response, round_now)
+        responses = self._execute(entries, round_now)
         if self._faults is not None and self._faults.kill_on_pump(
             round_index, "store"
         ):
@@ -519,6 +510,21 @@ class ConditionService:
             self._kill()
         self._journal_flush()
         self._health.on_pump(round_now)
+        return responses
+
+    def _execute(
+        self, entries: Sequence[Tuple[Ticket, Submission]], now: float
+    ) -> List[Response]:
+        """Run one round's batch through the scheduler at time ``now``,
+        counting its outcomes and storing its responses."""
+        responses, engine_runs = self._scheduler.run_batch(entries, now=now)
+        self._metrics.engine_runs += engine_runs
+        for response in responses:
+            if isinstance(response, Completed):
+                self._metrics.on_completed(response.latency, response.dedup)
+            else:
+                self._metrics.failed += 1
+            self._store.put(response.ticket.submission_id, response, now)
         return responses
 
     def drain(self) -> List[Response]:
@@ -637,20 +643,13 @@ class ConditionService:
         cls,
         journal: Union[str, Path],
         traces: Mapping[str, Trace],
-        quota: Optional[TenantQuota] = None,
-        capacity: int = DEFAULT_CAPACITY,
-        interactive_reserve: int = DEFAULT_INTERACTIVE_RESERVE,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        jobs: int = 1,
-        result_ttl: float = DEFAULT_RESULT_TTL,
-        profile: PhonePowerProfile = NEXUS4,
-        context: Optional[RunContext] = None,
-        faults: Optional[ServiceFaultPlan] = None,
-        health: Optional[HealthPolicy] = None,
-        spill_dir: Optional[Union[str, Path]] = None,
-        memory_budget: Optional[int] = None,
+        **settings: object,
     ) -> Tuple["ConditionService", RecoveryStats]:
         """Rebuild a crashed shard from its write-ahead journal.
+
+        ``settings`` are the crashed service's constructor keywords
+        (quota, capacity, batch_size, context, ...); recovery supplies
+        ``journal`` and ``clock`` itself.
 
         The recovery invariants:
 
@@ -727,20 +726,9 @@ class ConditionService:
 
         service = cls(
             traces,
-            quota=quota,
-            capacity=capacity,
-            interactive_reserve=interactive_reserve,
-            batch_size=batch_size,
-            jobs=jobs,
-            result_ttl=result_ttl,
             clock=LogicalClock(start=clock),
-            profile=profile,
-            context=context,
             journal=journal,
-            faults=faults,
-            health=health,
-            spill_dir=spill_dir,
-            memory_budget=memory_budget,
+            **settings,  # type: ignore[arg-type]
         )
         if accepts:
             service._next_id = max(accepts) + 1
@@ -822,20 +810,7 @@ class ConditionService:
             ]
             for ticket, _ in entries:
                 service._admission.on_scheduled(ticket.tenant)
-            responses, engine_runs = service._scheduler.run_batch(
-                entries, now=round_now
-            )
-            service._metrics.engine_runs += engine_runs
-            for response in responses:
-                if isinstance(response, Completed):
-                    service._metrics.on_completed(
-                        response.latency, response.dedup
-                    )
-                else:
-                    service._metrics.failed += 1
-                service._store.put(
-                    response.ticket.submission_id, response, round_now
-                )
+            responses = service._execute(entries, round_now)
             service._journal_responses(round_now, responses)
             service._journal_flush()
             reexecuted.extend(responses)

@@ -17,14 +17,14 @@ from repro.serve import (
     AsyncCluster,
     Completed,
     LoadSpec,
+    Rejected,
     ServiceFaultPlan,
     ShardCluster,
     TenantQuota,
     completion_digest,
     fleet_workload,
+    response_digest,
     run_cluster_fleet,
-    run_cluster_fleet_with_recovery,
-    run_fleet,
     submission_content_key,
 )
 from repro.serve.service import ConditionService
@@ -82,15 +82,29 @@ class TestTopologyEquivalence:
         service = ConditionService(
             registry, quota=TenantQuota(max_pending=8)
         )
+        by_ticket = {}
+        responses = []
         try:
-            report = run_fleet(service, workload, pump_every=16)
+            for index, submission in enumerate(workload):
+                outcome = service.submit(submission)
+                if not isinstance(outcome, Rejected):
+                    by_ticket[outcome.submission_id] = submission
+                if (index + 1) % 16 == 0:
+                    responses.extend(service.pump())
+            responses.extend(service.drain())
         finally:
             service.shutdown()
         pairs = [
-            (report.by_ticket[response.ticket.submission_id], response)
-            for response in report.responses
+            (by_ticket[response.ticket.submission_id], response)
+            for response in responses
         ]
         assert completion_digest(pairs) == reference_digest
+        # On one shard the cluster answers exactly like the bare
+        # service: same ticket ids, latencies and dedup flags.
+        one_shard = _drive(registry, workload, shards=1)
+        assert response_digest(one_shard.responses) == response_digest(
+            (0, response) for response in responses
+        )
 
     def test_digest_sees_result_content(self, registry, workload):
         # Guard the digest itself: swapping one completion's result
@@ -134,13 +148,11 @@ class TestKillRecoverEquivalence:
             },
         )
         try:
-            report, stats = run_cluster_fleet_with_recovery(
-                cluster, workload, pump_every=16
-            )
+            report = run_cluster_fleet(cluster, workload, pump_every=16)
         finally:
             cluster.shutdown()
         # The shard really died and really recovered ...
-        assert set(stats) == {1}
+        assert set(report.recoveries) == {1}
         assert cluster.dead_shards == ()
         # ... and recovery changed nothing the fleet can observe.
         assert completion_digest(report.pairs) == reference_digest
@@ -158,12 +170,10 @@ class TestKillRecoverEquivalence:
             faults={1: ServiceFaultPlan(kill_at_pump=1)},
         )
         try:
-            _, stats = run_cluster_fleet_with_recovery(
-                cluster, workload, pump_every=16
-            )
+            report = run_cluster_fleet(cluster, workload, pump_every=16)
         finally:
             cluster.shutdown()
-        assert len(stats[1].replayed) > 0
+        assert len(report.recoveries[1].replayed) > 0
 
 
 class TestAsyncEquivalence:

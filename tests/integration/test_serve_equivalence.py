@@ -17,12 +17,13 @@ from repro.serve import (
     Failed,
     LoadSpec,
     Rejected,
+    ShardCluster,
     Submission,
     TenantQuota,
     Ticket,
     fleet_workload,
     reference_result,
-    run_fleet,
+    run_cluster_fleet,
 )
 from repro.serve.loadgen import VALID_ACCEL_IL
 from repro.apps import all_applications
@@ -33,6 +34,17 @@ from repro.sim.configs.sidewinder import Sidewinder
 def registry(robot_trace, quiet_robot_trace, audio_trace):
     traces = (robot_trace, quiet_robot_trace, audio_trace)
     return {trace.name: trace for trace in traces}
+
+
+def _drive(registry, submissions, pump_every, context_factory=None, **kwargs):
+    """One drive through a one-shard cluster — the single service."""
+    cluster = ShardCluster(
+        registry, shards=1, context_factory=context_factory, **kwargs
+    )
+    try:
+        return run_cluster_fleet(cluster, submissions, pump_every=pump_every)
+    finally:
+        cluster.shutdown()
 
 
 def test_app_results_bit_identical_to_direct_runs(registry, robot_trace):
@@ -84,29 +96,27 @@ def test_fleet_with_rejections_stays_bit_identical(registry):
     submissions = fleet_workload(
         spec, all_applications(), list(registry.values())
     )
-    svc = ConditionService(
-        registry, quota=TenantQuota(max_pending=2, max_submissions=3)
+    # A large pump interval lets per-tenant pending counts build up,
+    # so the quota actually bites mid-stream.
+    report = _drive(
+        registry, submissions, pump_every=64,
+        quota=TenantQuota(max_pending=2, max_submissions=3),
     )
-    try:
-        # A large pump interval lets per-tenant pending counts build up,
-        # so the quota actually bites mid-stream.
-        report = run_fleet(svc, submissions, pump_every=64)
-    finally:
-        svc.shutdown()
 
     assert report.submitted == len(submissions)
     # The interesting regime really occurred: rejections (quota and/or
     # budget) interleaved with accepted-and-completed work, plus some
     # structured per-request failures from invalid IL.
-    reasons = {r.reason for r in report.rejections}
+    reasons = {r.reason for _, r in report.rejections}
     assert reasons & {"tenant_quota", "tenant_budget"}
     assert report.completed
     assert report.failed
     assert report.tickets == len(report.responses)
 
     dedup = 0
-    for response in report.completed:
-        submission = report.by_ticket[response.ticket.submission_id]
+    for submission, response in report.pairs:
+        if not isinstance(response, Completed):
+            continue
         assert response.result == reference_result(submission, registry), (
             submission,
         )
@@ -141,23 +151,19 @@ def test_batching_on_and_off_bit_identical(registry):
         submissions = fleet_workload(
             spec, all_applications(), list(fleet_registry.values())
         )
-        svc = ConditionService(
-            fleet_registry, context=RunContext(batch=batch)
+        report = _drive(
+            fleet_registry, submissions, pump_every=16,
+            context_factory=lambda: RunContext(batch=batch),
         )
-        try:
-            report = run_fleet(svc, submissions, pump_every=16)
-            metrics = svc.metrics()
-        finally:
-            svc.shutdown()
-        return report, metrics
+        return report, report.metrics.merged
 
     batched, batched_metrics = drive(batch=True)
     plain, plain_metrics = drive(batch=False)
     assert response_digest(batched.responses) == response_digest(
         plain.responses
     )
-    assert [r.ticket for r in batched.responses] == [
-        r.ticket for r in plain.responses
+    assert [r.ticket for _, r in batched.responses] == [
+        r.ticket for _, r in plain.responses
     ]
     # Batching genuinely engaged on the batched shard only.
     assert batched_metrics.batch_rounds > 0
@@ -209,23 +215,24 @@ def test_shape_batching_on_and_off_bit_identical(registry):
     shape = shape_signature(validate_program(parse_program(tenant_il(0))))
 
     def drive(shape_batch):
-        context = RunContext(shape_batch=shape_batch)
-        context.cost_model = CostModel(table={shape: "compiled"})
-        svc = ConditionService(registry, context=context)
-        try:
-            report = run_fleet(svc, list(submissions), pump_every=len(submissions))
-            metrics = svc.metrics()
-        finally:
-            svc.shutdown()
-        return report, metrics
+        def context():
+            context = RunContext(shape_batch=shape_batch)
+            context.cost_model = CostModel(table={shape: "compiled"})
+            return context
+
+        report = _drive(
+            registry, list(submissions), pump_every=len(submissions),
+            context_factory=context,
+        )
+        return report, report.metrics.merged
 
     shaped, shaped_metrics = drive(shape_batch=True)
     plain, plain_metrics = drive(shape_batch=False)
     assert response_digest(shaped.responses) == response_digest(
         plain.responses
     )
-    assert [r.ticket for r in shaped.responses] == [
-        r.ticket for r in plain.responses
+    assert [r.ticket for _, r in shaped.responses] == [
+        r.ticket for _, r in plain.responses
     ]
     # Shape batching genuinely engaged on the enabled shard only.
     assert shaped_metrics.shape_rounds > 0
@@ -244,13 +251,12 @@ def test_same_seed_same_outcome(registry):
         submissions = fleet_workload(
             spec, all_applications(), list(registry.values())
         )
-        svc = ConditionService(registry, quota=TenantQuota(max_pending=2))
-        try:
-            report = run_fleet(svc, submissions, pump_every=16)
-        finally:
-            svc.shutdown()
+        report = _drive(
+            registry, submissions, pump_every=16,
+            quota=TenantQuota(max_pending=2),
+        )
         outcomes = []
-        for response in report.responses:
+        for _, response in report.responses:
             if isinstance(response, Completed):
                 outcomes.append(
                     ("ok", response.ticket.submission_id, response.dedup,
@@ -261,10 +267,8 @@ def test_same_seed_same_outcome(registry):
                     ("fail", response.ticket.submission_id,
                      response.error_type)
                 )
-        rejections = [(r.tenant, r.reason) for r in report.rejections]
-        results = [
-            r.result for r in report.responses if isinstance(r, Completed)
-        ]
+        rejections = [(r.tenant, r.reason) for _, r in report.rejections]
+        results = [r.result for r in report.completed]
         return outcomes, rejections, results
 
     first = drive()

@@ -4,9 +4,12 @@ The acceptance bar for the durability tier: for any planned kill point
 — after an accept, at any pump phase, with or without a torn journal
 tail — the union of pre-crash responses and post-recovery responses
 must be bit-identical to the uninterrupted run's, quota rejections
-included.  A damaged journal recovers its longest valid prefix; a
-restart can never reset tenant budgets; a stalled or journal-broken
-shard degrades deterministically and sheds bulk work.
+included.  That holds on a one-shard cluster and on every victim shard
+of a four-shard one, where :func:`run_cluster_fleet` rebuilds the dead
+shard and re-drives only its own part of the stream.  A damaged
+journal recovers its longest valid prefix; a restart can never reset
+tenant budgets; a stalled or journal-broken shard degrades
+deterministically and sheds bulk work.
 """
 
 import pytest
@@ -21,13 +24,15 @@ from repro.serve import (
     LoadSpec,
     Rejected,
     ServiceFaultPlan,
+    ShardCluster,
     Submission,
     TenantQuota,
+    completion_digest,
     fleet_workload,
     read_journal,
     response_digest,
-    run_fleet,
-    run_fleet_with_recovery,
+    run_cluster_fleet,
+    shard_journal_path,
 )
 
 QUOTA = TenantQuota(max_pending=2)
@@ -38,6 +43,17 @@ PUMP_EVERY = 16
 def registry(robot_trace, quiet_robot_trace, audio_trace):
     traces = (robot_trace, quiet_robot_trace, audio_trace)
     return {trace.name: trace for trace in traces}
+
+
+def _drive(registry, workload, shards=1, journal_dir=None, faults=None):
+    cluster = ShardCluster(
+        registry, shards=shards, quota=QUOTA, journal_dir=journal_dir,
+        faults=faults,
+    )
+    try:
+        return run_cluster_fleet(cluster, workload, pump_every=PUMP_EVERY)
+    finally:
+        cluster.shutdown()
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +74,7 @@ def bundle(registry):
             submissions = fleet_workload(
                 spec, all_applications(), list(registry.values())
             )
-            svc = ConditionService(registry, quota=QUOTA)
-            try:
-                report = run_fleet(svc, submissions, pump_every=PUMP_EVERY)
-            finally:
-                svc.shutdown()
+            report = _drive(registry, submissions)
             assert report.rejections, "workload must exercise rejections"
             cache[seed] = (submissions, report)
         return cache[seed]
@@ -79,17 +91,6 @@ def workload(bundle):
 def reference(bundle):
     """The uninterrupted run every crashed run must reproduce."""
     return bundle(5)[1]
-
-
-def _drive_with_kill(registry, workload, journal, plan):
-    svc = ConditionService(registry, quota=QUOTA, journal=journal, faults=plan)
-    report, stats, svc = run_fleet_with_recovery(
-        svc, workload, registry, journal,
-        pump_every=PUMP_EVERY,
-        recover_kwargs=dict(quota=QUOTA),
-    )
-    svc.shutdown()
-    return report, stats
 
 
 def _plan_id(plan):
@@ -130,9 +131,8 @@ def test_kill_anywhere_recovers_bit_identically(
     registry, bundle, tmp_path, seed, plan
 ):
     workload, reference = bundle(seed)
-    report, stats = _drive_with_kill(
-        registry, workload, tmp_path / "shard.wal", plan
-    )
+    report = _drive(registry, workload, journal_dir=tmp_path, faults={0: plan})
+    stats = report.recoveries.get(0)
     assert stats is not None, "the kill must actually fire"
     # The union of pre-crash and post-recovery responses equals the
     # uninterrupted run's responses as a multiset of bytes...
@@ -141,12 +141,68 @@ def test_kill_anywhere_recovers_bit_identically(
     )
     # ... and the interleaved admission decisions replayed identically,
     # quota rejections included.
-    assert [(r.tenant, r.reason) for r in report.rejections] == [
-        (r.tenant, r.reason) for r in reference.rejections
+    assert [(r.tenant, r.reason) for _, r in report.rejections] == [
+        (r.tenant, r.reason) for _, r in reference.rejections
     ]
     assert report.tickets == reference.tickets
     if plan.torn_tail_bytes and stats.truncated_bytes:
         assert stats.truncation_reason == "torn_tail"
+
+
+def test_killing_accept_that_reached_disk_stands(
+    registry, bundle, tmp_path
+):
+    """A torn tail as long as the whole buffer makes the killing accept
+    durable: its ticket must stand, not be re-driven as a new one."""
+    workload, reference = bundle(5)
+    plan = ServiceFaultPlan(kill_after_accepts=8, torn_tail_bytes=10**6)
+    report = _drive(registry, workload, journal_dir=tmp_path, faults={0: plan})
+    assert report.recoveries[0].truncated_bytes == 0
+    assert response_digest(report.responses) == response_digest(
+        reference.responses
+    )
+    assert report.rejections == reference.rejections
+    assert report.by_ticket == reference.by_ticket
+
+
+@pytest.fixture(scope="module")
+def four_shard_reference(registry, bundle):
+    report = _drive(registry, bundle(5)[0], shards=4)
+    assert {shard for shard, _ in report.responses} == {0, 1, 2, 3}
+    return report
+
+
+@pytest.mark.parametrize("victim", range(4))
+@pytest.mark.parametrize(
+    "plan",
+    [
+        ServiceFaultPlan(kill_after_accepts=4),
+        ServiceFaultPlan(kill_at_pump=1, kill_pump_phase="store"),
+    ],
+    ids=_plan_id,
+)
+def test_four_shard_kill_recovers_bit_identically(
+    registry, bundle, four_shard_reference, tmp_path, victim, plan
+):
+    """Any one shard of four dies at accept or pump time; the drive
+    rebuilds it alone and re-drives only its own part of the stream."""
+    workload, _ = bundle(5)
+    reference = four_shard_reference
+    report = _drive(
+        registry, workload, shards=4, journal_dir=tmp_path,
+        faults={victim: plan},
+    )
+    assert set(report.recoveries) == {victim}, "the kill must fire"
+    assert completion_digest(report.pairs) == completion_digest(
+        reference.pairs
+    )
+    # (shard, response) pairs pin ticket ids, latencies and dedup flags
+    # shard by shard.
+    assert response_digest(report.responses) == response_digest(
+        reference.responses
+    )
+    assert report.rejections == reference.rejections
+    assert report.tickets == reference.tickets
 
 
 def test_restart_reanswers_everything_bit_identically(
@@ -154,26 +210,23 @@ def test_restart_reanswers_everything_bit_identically(
 ):
     """A clean restart from the journal re-answers every completed
     submission without touching the engine."""
-    journal = tmp_path / "shard.wal"
-    svc = ConditionService(registry, quota=QUOTA, journal=journal)
-    try:
-        report = run_fleet(svc, workload, pump_every=PUMP_EVERY)
-    finally:
-        svc.shutdown()
+    report = _drive(registry, workload, journal_dir=tmp_path)
     assert response_digest(report.responses) == response_digest(
         reference.responses
     )
-    recovered, stats = ConditionService.recover(journal, registry, quota=QUOTA)
+    recovered, stats = ConditionService.recover(
+        shard_journal_path(tmp_path, 0), registry, quota=QUOTA
+    )
     try:
         assert stats.truncated_bytes == 0
         assert stats.reexecuted == ()
         assert stats.requeued == ()
         assert len(stats.replayed) == reference.tickets
         assert response_digest(stats.replayed) == response_digest(
-            reference.responses
+            response for _, response in reference.responses
         )
         # Every result is fetchable under its original ticket id.
-        for response in report.responses:
+        for _, response in report.responses:
             sid = response.ticket.submission_id
             assert recovered.result(sid) == response
     finally:

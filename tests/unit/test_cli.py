@@ -116,6 +116,29 @@ def test_serve_bench_quick(capsys):
     assert "submissions/s" in out
 
 
+def test_serve_bench_kill_is_recovered_to_the_same_digests(
+    capsys, tmp_path
+):
+    base = ["serve-bench", "--fleet", "8", "--quick", "--pump-every", "4",
+            "--digest"]
+    assert main(base) == 0
+    reference = capsys.readouterr().out
+    assert main(base + ["--journal", str(tmp_path), "--kill-after", "5"]) == 0
+    recovered = capsys.readouterr().out
+    assert "shard 0 recovery: recovered" in recovered
+
+    def digests(out):
+        return [
+            line for line in out.splitlines()
+            if line.startswith(("digest ", "response-digest "))
+        ]
+
+    assert len(digests(reference)) == 2
+    assert digests(recovered) == digests(reference)
+    # A kill needs a journal to recover from.
+    assert main(base + ["--kill-after", "5"]) == 2
+
+
 def test_figure6_verbose_prints_cache_counters(capsys):
     code = main(["figure6", "--duration", "120", "--verbose"])
     assert code == 0

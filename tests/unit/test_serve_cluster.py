@@ -129,6 +129,33 @@ class TestShardCluster:
         finally:
             cluster.shutdown()
 
+    def test_accept_time_kill_marks_shard_dead(self, registry, tmp_path):
+        cluster = ShardCluster(
+            registry,
+            shards=2,
+            journal_dir=tmp_path,
+            faults={0: ServiceFaultPlan(kill_after_accepts=2)},
+        )
+        try:
+            victim = _tenant_on_shard(cluster, registry, 0)
+            survivor = _tenant_on_shard(cluster, registry, 1)
+            assert cluster.submit(_steps(registry, victim)).accepted
+            killing = cluster.submit(_steps(registry, victim))
+            # The kill is recorded, not raised, and no zombie lingers:
+            # the dead shard refuses and its queue never pumps.
+            assert killing.shard == 0
+            assert killing.response.reason == "shard_down"
+            assert cluster.dead_shards == (0,)
+            refused = cluster.submit(_steps(registry, victim))
+            assert refused.response.reason == "shard_down"
+            assert cluster.submit(_steps(registry, survivor)).accepted
+            assert cluster.queue_depth == 1
+            responses = cluster.pump()
+            assert 0 not in responses
+            assert len(responses[1]) == 1
+        finally:
+            cluster.shutdown()
+
     def test_recover_shard_in_place(self, registry, tmp_path):
         cluster = ShardCluster(
             registry,
@@ -376,6 +403,32 @@ class TestAsyncCluster:
                 assert cluster.dead_shards == (0,)
                 with pytest.raises(ServiceKilled):
                     await future
+            finally:
+                await front.shutdown()
+
+        asyncio.run(drive())
+
+    def test_accept_time_kill_fails_pending_futures(
+        self, registry, tmp_path
+    ):
+        from repro.serve import AsyncCluster
+
+        async def drive():
+            cluster = ShardCluster(
+                registry,
+                shards=2,
+                journal_dir=tmp_path,
+                faults={0: ServiceFaultPlan(kill_after_accepts=2)},
+            )
+            front = AsyncCluster(cluster)
+            try:
+                victim = _tenant_on_shard(cluster, registry, 0)
+                pending = front.submit(_steps(registry, victim))
+                killing = front.submit(_steps(registry, victim))
+                assert (await killing).reason == "shard_down"
+                assert front.pending == 0
+                with pytest.raises(ServiceKilled):
+                    await pending
             finally:
                 await front.shutdown()
 
