@@ -104,7 +104,7 @@ def _time_hub_axis(apps, traces):
             plan.execute(channels)  # touch the buffers once (page faults)
             compiled, dt = _timed(lambda: plan.execute(channels))
             compiled_total += dt
-            assert fused == by_rounds  # bit-identical WakeEvents
+            assert fused == by_rounds  # bit-identical event logs
             assert compiled == by_rounds
     return round_total, fused_total, compiled_total
 

@@ -357,6 +357,11 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         print("--kill-after / --kill-shard require --journal (a directory "
               "of per-shard journals)", file=sys.stderr)
         return 2
+    if args.journal:
+        # Every drive here starts fresh; a shard refuses to append to
+        # the journal an earlier run left behind.
+        for stale in Path(args.journal).glob("shard-*.wal"):
+            stale.unlink()
     if args.stream:
         return _serve_bench_stream(args)
     duration = 120.0 if args.quick else args.duration
@@ -448,8 +453,10 @@ def _serve_bench_stream(args: argparse.Namespace) -> int:
     count.  The two drives must produce **digest-identical** wake
     events — the exit code reflects it — and the report compares
     goodput and batched-tier occupancy between the paths.  With
-    ``--kill-shard`` the named shard is fault-killed mid-stream and
-    rebuilt from its journal; the digest must still match.  ``--out``
+    ``--kill-shard`` the named shard (shard 0 when only ``--kill-after``
+    is given: a stream drive has no accepts to count) is fault-killed
+    in pump round ``--kill-after`` (default 1) and rebuilt from its
+    journal; the digest must still match.  ``--out``
     merges the comparison into a JSON artifact (``stream`` key).
     """
     from repro.serve import (
@@ -470,14 +477,17 @@ def _serve_bench_stream(args: argparse.Namespace) -> int:
     )
     plans = stream_fleet_plan(spec)
 
+    kill_shard = args.kill_shard
+    if kill_shard is None and args.kill_after:
+        kill_shard = 0
     faults = None
-    if args.kill_shard is not None:
+    if kill_shard is not None:
         # Stream-only pump rounds run no submissions, so only the
         # "begin" fault hook (right after the round's journal flush)
         # is reached — the "store" phase used by the submission-path
         # kill benchmark would never fire here.
         faults = {
-            args.kill_shard: ServiceFaultPlan(
+            kill_shard: ServiceFaultPlan(
                 kill_at_pump=args.kill_after or 1,
                 kill_pump_phase="begin",
             )
@@ -491,7 +501,7 @@ def _serve_bench_stream(args: argparse.Namespace) -> int:
     )
     try:
         streamed = run_stream_fleet(
-            cluster, plans, spec, recover=args.kill_shard is not None
+            cluster, plans, spec, recover=kill_shard is not None
         )
     finally:
         cluster.shutdown()
@@ -785,10 +795,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "write-ahead journals (shard-00.wal, ...)")
     p.add_argument("--kill-after", type=int, metavar="N",
                    help="fault-inject: kill shard 0 after N accepted "
-                        "submissions; with --kill-shard, the pump round "
-                        "the shard dies in.  The shard is recovered "
-                        "from its journal and the drive finishes "
-                        "(requires --journal)")
+                        "submissions; with --kill-shard or --stream, "
+                        "the pump round the shard dies in.  The shard "
+                        "is recovered from its journal and the drive "
+                        "finishes (requires --journal)")
     p.add_argument("--digest", action="store_true",
                    help="print the topology-independent completion "
                         "digest (equal across shard counts) and the "

@@ -60,7 +60,7 @@ from repro.hub.merge import (
 )
 from repro.hub.hub import PushedCondition, SensorHub
 from repro.hub.mcu import DEFAULT_CATALOG, LM4F120, MSP430, MCUModel
-from repro.hub.runtime import HubRuntime, WakeEvent
+from repro.hub.runtime import EventLog, HubRuntime, WakeEvent
 from repro.hub.state import AlgorithmState
 
 __all__ = [
@@ -69,6 +69,7 @@ __all__ = [
     "DEFAULT_RELIABILITY",
     "DeliveryMode",
     "DeliverySpec",
+    "EventLog",
     "FPGAModel",
     "FaultInjector",
     "FaultPlan",

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.algorithms.base import StreamAlgorithm, has_lowering, has_row_lowering
 from repro.errors import HubExecutionError
-from repro.hub.runtime import WakeEvent, fusion_eligibility
+from repro.hub.runtime import EventLog, fusion_eligibility
 from repro.il.ast import ChannelRef, SourceRef
 from repro.il.graph import DataflowGraph
 from repro.sensors.samples import BatchedChunk, Chunk, StreamKind
@@ -209,7 +209,7 @@ class CompiledPlan:
     def execute(
         self,
         channel_data: Dict[str, Tuple[np.ndarray, np.ndarray, float]],
-    ) -> List[WakeEvent]:
+    ) -> EventLog:
         """Run the array program over one trace's channel arrays.
 
         Args:
@@ -250,12 +250,7 @@ class CompiledPlan:
                 inputs = _aligned_prefix(inputs)
             env[step.node_id] = step.algorithm.lower(inputs)
         out = env[self.output_id]
-        return [
-            WakeEvent(t, v)
-            for t, v in zip(
-                out.times.tolist(), np.atleast_1d(out.values).tolist()
-            )
-        ]
+        return EventLog(out.times, out.values)
 
 
 def _aligned_prefix(inputs: List[Chunk]) -> List[Chunk]:
@@ -285,8 +280,8 @@ def batch_eligibility(graph: DataflowGraph) -> Optional[str]:
     needs everything compilation needs (every ``lower`` rule has a
     row-identical ``lower_batched`` counterpart — the base class
     guarantees one by looping rows).  On top of that, the output stream
-    must be scalar: per-trace wake events are unstacked item by item,
-    and only scalar items map one-to-one onto ``WakeEvent`` values.
+    must be scalar: per-trace wake events are unstacked row by row,
+    and only scalar items map one-to-one onto event-log values.
     Returns a human-readable reason string beside
     :func:`compile_eligibility`'s, or ``None`` when batchable.
     """
@@ -375,7 +370,7 @@ class BatchedPlan:
     def execute_batch(
         self,
         rows: List[Dict[str, Tuple[np.ndarray, np.ndarray, float]]],
-    ) -> List[List[WakeEvent]]:
+    ) -> List[EventLog]:
         """Run the array program once over ``B`` traces' channel arrays.
 
         Args:
@@ -386,7 +381,7 @@ class BatchedPlan:
                 before stacking).
 
         Returns:
-            One wake-event list per row, in input order — each
+            One event log per row, in input order — each
             bit-identical to ``plan.execute`` on that row alone.
 
         Raises:
@@ -398,7 +393,7 @@ class BatchedPlan:
     def execute_batch_with_info(
         self,
         rows: List[Dict[str, Tuple[np.ndarray, np.ndarray, float]]],
-    ) -> Tuple[List[List[WakeEvent]], BatchDispatchInfo]:
+    ) -> Tuple[List[EventLog], BatchDispatchInfo]:
         """:meth:`execute_batch` plus padding/sub-batch accounting."""
         return self._dispatch(rows)
 
@@ -407,7 +402,7 @@ class BatchedPlan:
         rows: List[
             Tuple[CompiledPlan, Dict[str, Tuple[np.ndarray, np.ndarray, float]]]
         ],
-    ) -> List[List[WakeEvent]]:
+    ) -> List[EventLog]:
         """Run a heterogeneous same-shape batch in one stacked pass.
 
         Args:
@@ -417,7 +412,7 @@ class BatchedPlan:
                 parameter values), so plans align step by step.
 
         Returns:
-            One wake-event list per row, in input order — each
+            One event log per row, in input order — each
             bit-identical to ``plan.execute(channel_data)`` for that
             row alone.
         """
@@ -428,7 +423,7 @@ class BatchedPlan:
         rows: List[
             Tuple[CompiledPlan, Dict[str, Tuple[np.ndarray, np.ndarray, float]]]
         ],
-    ) -> Tuple[List[List[WakeEvent]], BatchDispatchInfo]:
+    ) -> Tuple[List[EventLog], BatchDispatchInfo]:
         """:meth:`execute_shape_batch` plus padding/sub-batch accounting."""
         return self._dispatch(
             [channel_data for _, channel_data in rows],
@@ -441,7 +436,7 @@ class BatchedPlan:
         self,
         rows: List[Dict[str, Tuple[np.ndarray, np.ndarray, float]]],
         row_plans: Optional[List[CompiledPlan]] = None,
-    ) -> Tuple[List[List[WakeEvent]], BatchDispatchInfo]:
+    ) -> Tuple[List[EventLog], BatchDispatchInfo]:
         """The stacked-dispatch loop behind both batch entry points.
 
         ``row_plans`` is ``None`` for a homogeneous batch (every row
@@ -451,7 +446,7 @@ class BatchedPlan:
         plan unstacked.
         """
 
-        def alone(idx: int) -> List[WakeEvent]:
+        def alone(idx: int) -> EventLog:
             plan = self.plan if row_plans is None else row_plans[idx]
             return plan.execute(rows[idx])
 
@@ -460,7 +455,7 @@ class BatchedPlan:
                 [alone(0)],
                 BatchDispatchInfo(sub_batches=0, valid_cells=0, padded_cells=0),
             )
-        results: List[Optional[List[WakeEvent]]] = [None] * len(rows)
+        results: List[Optional[EventLog]] = [None] * len(rows)
         sub_batches = valid_cells = padded_cells = 0
         for group in split_for_padding(self._row_lengths(rows)):
             if len(group) == 1:
@@ -558,19 +553,16 @@ class BatchedPlan:
                 env[step.node_id] = _lower_step_rows(algorithms, inputs)
         return env[self.plan.output_id]
 
-    def _unstack(self, out: BatchedChunk) -> List[List[WakeEvent]]:
-        """Per-row wake events from the batched output chunk."""
-        # The output is scalar (batch eligibility guarantees it), so the
-        # whole (B, k) tensors convert to nested Python lists in one
-        # C-level pass each instead of B small per-row conversions; the
-        # per-row slice then trims each row's padding.
-        all_times = out.times.tolist()
-        all_values = out.values.tolist()
+    def _unstack(self, out: BatchedChunk) -> List[EventLog]:
+        """Per-row wake events from the batched output chunk.
+
+        The output is scalar (batch eligibility guarantees it); each
+        row's valid prefix is copied into its own log, so no result
+        keeps the padded ``(B, k)`` tensors alive.
+        """
         return [
-            [WakeEvent(t, v) for t, v in zip(trow[:n], vrow[:n])]
-            for trow, vrow, n in zip(
-                all_times, all_values, out.lengths.tolist()
-            )
+            EventLog(out.times[b, :n], out.values[b, :n])
+            for b, n in enumerate(out.lengths.tolist())
         ]
 
 

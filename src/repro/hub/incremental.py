@@ -52,7 +52,7 @@ from repro.hub.compile import (
     shape_signature,
     structural_key,
 )
-from repro.hub.runtime import HubRuntime, WakeEvent, fusion_eligibility
+from repro.hub.runtime import EventLog, HubRuntime, fusion_eligibility
 from repro.il.ast import ChannelRef
 from repro.il.graph import DataflowGraph
 from repro.sensors.samples import BatchedChunk, Chunk, ChunkBuffer, StreamKind
@@ -178,16 +178,16 @@ class IncrementalGraphState:
             tuple(sorted(rates.items())),
         )
 
-    def advance(self, channel_spans: Dict[str, Chunk]) -> List[WakeEvent]:
+    def advance(self, channel_spans: Dict[str, Chunk]) -> EventLog:
         """Run the newly arrived spans; return the new wake events."""
         return advance_rows([self], [channel_spans])[0]
 
-    def close(self) -> List[WakeEvent]:
+    def close(self) -> EventLog:
         """End of stream.  Bounded replay never holds back output items
         (surplus in multi-port pending buffers is exactly what the
         whole-trace aligned-prefix truncation drops), so nothing flushes.
         """
-        return []
+        return EventLog()
 
     # -- internals ----------------------------------------------------
 
@@ -222,7 +222,7 @@ class IncrementalGraphState:
 def advance_rows(
     states: List[IncrementalGraphState],
     spans: List[Dict[str, Chunk]],
-) -> List[List[WakeEvent]]:
+) -> List[EventLog]:
     """Advance many same-``batch_key`` states in stacked step dispatches."""
     return advance_rows_with_info(states, spans)[0]
 
@@ -230,7 +230,7 @@ def advance_rows(
 def advance_rows_with_info(
     states: List[IncrementalGraphState],
     spans: List[Dict[str, Chunk]],
-) -> Tuple[List[List[WakeEvent]], StreamDispatchInfo]:
+) -> Tuple[List[EventLog], StreamDispatchInfo]:
     """:func:`advance_rows` plus dispatch/occupancy accounting.
 
     Args:
@@ -242,7 +242,7 @@ def advance_rows_with_info(
             (possibly empty, carrying the channel's rate).
 
     Returns:
-        Per state, the wake events these arrivals produced — each list
+        Per state, the wake events these arrivals produced — each log
         bit-identical to what :meth:`IncrementalGraphState.advance`
         would return alone — plus dispatch accounting.
     """
@@ -332,18 +332,11 @@ def advance_rows_with_info(
                 envs[r][step.node_id] = _empty_like_output(
                     step.algorithm, merged_rows[r][0].rate_hz
                 )
-    results = []
-    for r, state in enumerate(states):
-        out = envs[r][state.plan.output_id]
-        results.append(
-            [
-                WakeEvent(t, v)
-                for t, v in zip(
-                    out.times.tolist(), np.atleast_1d(out.values).tolist()
-                )
-            ]
-        )
-    return results, StreamDispatchInfo(dispatches, total_rows, total_cells)
+    outs = [envs[r][state.plan.output_id] for r, state in enumerate(states)]
+    return (
+        [EventLog(out.times, out.values) for out in outs],
+        StreamDispatchInfo(dispatches, total_rows, total_cells),
+    )
 
 
 class ChunkedReplayState:
@@ -366,15 +359,15 @@ class ChunkedReplayState:
         self.graph = graph
         self._runtime = HubRuntime(graph)
 
-    def advance(self, channel_spans: Dict[str, Chunk]) -> List[WakeEvent]:
+    def advance(self, channel_spans: Dict[str, Chunk]) -> EventLog:
         """Feed one arrival span straight through the interpreter."""
         if all(chunk.is_empty for chunk in channel_spans.values()):
-            return []
+            return EventLog()
         return self._runtime.feed(channel_spans)
 
-    def close(self) -> List[WakeEvent]:
+    def close(self) -> EventLog:
         """End the stream (chunk-invariant graphs hold nothing back)."""
-        return []
+        return EventLog()
 
 
 class _Column:
@@ -443,7 +436,7 @@ class RoundReplayState:
         self._fed = 0
         self._closed = False
 
-    def advance(self, channel_spans: Dict[str, Chunk]) -> List[WakeEvent]:
+    def advance(self, channel_spans: Dict[str, Chunk]) -> EventLog:
         """Buffer arrival spans; feed every round that became final."""
         if self._closed:
             raise HubExecutionError("cannot advance a closed stream state")
@@ -464,14 +457,14 @@ class RoundReplayState:
             self._values[name].append(span.values)
         return self._pump()
 
-    def close(self) -> List[WakeEvent]:
+    def close(self) -> EventLog:
         """Feed every remaining canonical round and end the stream."""
         if self._closed:
-            return []
+            return EventLog()
         self._closed = True
         end = self._end()
         if self._start is None or end is None:
-            return []
+            return EventLog()
         # Count rounds exactly as the canonical splitter's edge loop:
         # one per edge value at or below the final end.
         total = 0
@@ -479,9 +472,12 @@ class RoundReplayState:
         while t0 <= end:
             total += 1
             t0 += self.chunk_seconds
-        events: List[WakeEvent] = []
-        for k in range(self._fed, total):
-            events.extend(self._feed_round(self._edge(k), self._edge(k + 1)))
+        events = EventLog.concat(
+            [
+                self._feed_round(self._edge(k), self._edge(k + 1))
+                for k in range(self._fed, total)
+            ]
+        )
         self._fed = total
         return events
 
@@ -502,11 +498,11 @@ class RoundReplayState:
             )
         return self._edges[index]
 
-    def _pump(self) -> List[WakeEvent]:
-        events: List[WakeEvent] = []
+    def _pump(self) -> EventLog:
+        events: List[EventLog] = []
         end = self._end()
         if self._start is None or end is None:
-            return events
+            return EventLog()
         while True:
             left = self._edge(self._fed)
             if left > end:
@@ -523,11 +519,11 @@ class RoundReplayState:
             )
             if not ready:
                 break
-            events.extend(self._feed_round(left, right))
+            events.append(self._feed_round(left, right))
             self._fed += 1
-        return events
+        return EventLog.concat(events)
 
-    def _feed_round(self, left: float, right: float) -> List[WakeEvent]:
+    def _feed_round(self, left: float, right: float) -> EventLog:
         round_chunks: Dict[str, Chunk] = {}
         for name in self._times:
             times = self._times[name].data

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.hub.runtime import HubRuntime, WakeEvent
+from repro.hub.runtime import EventLog, HubRuntime
 from repro.il.ast import ChannelRef, ILProgram, ILStatement, NodeRef, SourceRef
 from repro.il.graph import DataflowGraph, build_graph
 from repro.il.validate import validate_program
@@ -177,7 +177,7 @@ class MultiTapRuntime:
         self.graph = merged_graph(merged)
         self._runtime = HubRuntime(self.graph)
 
-    def feed(self, channel_chunks) -> Dict[int, List[WakeEvent]]:
+    def feed(self, channel_chunks) -> Dict[int, EventLog]:
         """Process one round; return wake events keyed by tap node id.
 
         When two conditions merged into the same tap (they were
@@ -185,27 +185,26 @@ class MultiTapRuntime:
         their own tap -> condition mapping.
         """
         self._runtime.feed(channel_chunks)
-        events: Dict[int, List[WakeEvent]] = {}
+        events: Dict[int, EventLog] = {}
         for tap in self.merged.taps:
             state = self._runtime.states[tap]
             if state.has_result and state.result is not None:
-                events[tap] = [
-                    WakeEvent(float(t), float(v))
-                    for t, v in zip(state.result.times, state.result.values)
-                ]
+                events[tap] = EventLog(state.result.times, state.result.values)
             else:
-                events[tap] = []
+                events[tap] = EventLog()
         return events
 
-    def run(self, rounds) -> Dict[int, List[WakeEvent]]:
+    def run(self, rounds) -> Dict[int, EventLog]:
         """Feed every round; return accumulated events per tap."""
-        accumulated: Dict[int, List[WakeEvent]] = {
+        accumulated: Dict[int, List[EventLog]] = {
             tap: [] for tap in self.merged.taps
         }
         for chunks in rounds:
             for tap, events in self.feed(chunks).items():
-                accumulated[tap].extend(events)
-        return accumulated
+                accumulated[tap].append(events)
+        return {
+            tap: EventLog.concat(parts) for tap, parts in accumulated.items()
+        }
 
     def reset(self) -> None:
         """Reset all interpreter state."""

@@ -46,6 +46,7 @@ from typing import (
 )
 
 from repro.errors import ServiceKilled, SidewinderError
+from repro.hub.runtime import EventLog
 from repro.power.phone import NEXUS4, PhonePowerProfile
 from repro.serve.health import HealthPolicy
 from repro.serve.journal import RecoveryStats
@@ -381,12 +382,12 @@ class ShardCluster:
             return shard, self._shard_down(submission.tenant, shard)
         return shard, self._services[shard].subscribe_stream(submission)
 
-    def close_stream(self, tenant: str, stream: str) -> Dict[int, tuple]:
+    def close_stream(self, tenant: str, stream: str) -> Dict[int, EventLog]:
         """End one stream on its shard; subscription id → event log."""
         shard = self._router.route_stream(tenant, stream)
         return self._services[shard].close_stream(tenant, stream)
 
-    def stream_results(self, shard: int, sub_id: int) -> tuple:
+    def stream_results(self, shard: int, sub_id: int) -> EventLog:
         """Wake events a streaming subscription has emitted so far."""
         return self._services[shard].stream_results(sub_id)
 

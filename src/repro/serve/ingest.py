@@ -44,7 +44,7 @@ from repro.hub.incremental import (
     advance_rows_with_info,
     make_stream_state,
 )
-from repro.hub.runtime import WakeEvent
+from repro.hub.runtime import EventLog
 from repro.serve.scheduler import HUB_CATALOGS
 from repro.serve.submission import Submission
 from repro.traces.stream import StreamBuffer
@@ -66,7 +66,8 @@ class StreamSubscriptionState:
         state: The incremental execution state
             (:data:`repro.hub.incremental.StreamState`).
         cursor: Per-channel consumed item counts into the stream buffer.
-        events: Wake events emitted so far, in stream order.
+        events: Event logs emitted so far, one part per productive
+            round, in stream order (concatenated once, at close).
         done: True once the stream closed under this subscription.
     """
 
@@ -87,7 +88,7 @@ class StreamSubscriptionState:
         self.channels = channels
         self.state = state
         self.cursor: Dict[str, int] = {}
-        self.events: List[WakeEvent] = []
+        self.events: List[EventLog] = []
         self.done = False
 
 
@@ -98,8 +99,8 @@ class StreamIngest:
         now: The shard's clock (journal records carry its stamps).
         journal_append: Optional record sink — the service's buffered
             journal append, already wrapped so a journal failure is
-            counted on shard health instead of raised.  ``None`` for a
-            non-durable shard.
+            counted on shard health instead of raised.  Records reach it
+            only from calls made with ``journal=True``.
 
     The service calls :meth:`advance` once per pump round; everything
     else is request-path bookkeeping.  All methods raise the library's
@@ -269,13 +270,13 @@ class StreamIngest:
             raise ServiceError(f"unknown stream subscription {sub_id}")
         return sub
 
-    def results(self, sub_id: int) -> Tuple[WakeEvent, ...]:
+    def results(self, sub_id: int) -> EventLog:
         """Wake events a subscription has emitted so far, in order."""
-        return tuple(self.subscription(sub_id).events)
+        return EventLog.concat(self.subscription(sub_id).events)
 
     # -- the pump hook ---------------------------------------------------
 
-    def advance(self) -> Dict[int, List[WakeEvent]]:
+    def advance(self) -> Dict[int, EventLog]:
         """Evaluate every subscription over its newly arrived span.
 
         Same-``batch_key`` incremental subscriptions — across devices,
@@ -285,7 +286,7 @@ class StreamIngest:
         (only ids that produced something appear).
         """
         self._dirty = False
-        produced: Dict[int, List[WakeEvent]] = {}
+        produced: Dict[int, EventLog] = {}
         groups: Dict[tuple, List[Tuple[StreamSubscriptionState, Dict]]] = {}
         for sub_id in sorted(self._subs):
             sub = self._subs[sub_id]
@@ -304,7 +305,7 @@ class StreamIngest:
                 self.rounds += 1
                 self.cells += 1
                 if events:
-                    sub.events.extend(events)
+                    sub.events.append(events)
                     produced[sub.sub_id] = events
         for members in groups.values():
             results, info = advance_rows_with_info(
@@ -315,13 +316,13 @@ class StreamIngest:
             self.cells += info.rows
             for (sub, _), events in zip(members, results):
                 if events:
-                    sub.events.extend(events)
+                    sub.events.append(events)
                     produced[sub.sub_id] = events
         return produced
 
     def close_stream(
         self, tenant: str, stream: str
-    ) -> Dict[int, Tuple[WakeEvent, ...]]:
+    ) -> Dict[int, EventLog]:
         """End one stream: final catch-up, flush, and per-sub results.
 
         Runs a full :meth:`advance` first (keeping the final spans on
@@ -341,13 +342,14 @@ class StreamIngest:
                 f"stream {stream!r} of tenant {tenant!r} is unknown"
             )
         self.advance()
-        results: Dict[int, Tuple[WakeEvent, ...]] = {}
+        results: Dict[int, EventLog] = {}
         for sub_id in self._by_stream[key]:
             sub = self._subs[sub_id]
             if not sub.done:
-                sub.events.extend(sub.state.close())
+                sub.events.append(sub.state.close())
+                sub.events = [EventLog.concat(sub.events)]
                 sub.done = True
-            results[sub_id] = tuple(sub.events)
+            results[sub_id] = sub.events[0]
         return results
 
     # -- metrics ---------------------------------------------------------

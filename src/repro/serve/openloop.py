@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
+from repro.hub.runtime import EventLog
 from repro.serve.cluster import ShardCluster
 from repro.serve.loadgen import (
     DeviceStreamPlan,
@@ -358,7 +359,7 @@ class StreamFleetReport:
     by_subscription: Dict[Tuple[int, int], Submission] = field(
         default_factory=dict
     )
-    events: Dict[Tuple[int, int], tuple] = field(default_factory=dict)
+    events: Dict[Tuple[int, int], EventLog] = field(default_factory=dict)
     recoveries: Dict[int, int] = field(default_factory=dict)
     wall_s: float = 0.0
     metrics: object = None  # ClusterMetricsSnapshot
@@ -374,7 +375,7 @@ class StreamFleetReport:
         :func:`~repro.serve.loadgen.completion_digest`.
 
         Each subscription's event log is wrapped as a completion whose
-        result is the event tuple — the same result content an ordinary
+        result is that log — the same result content an ordinary
         raw-IL submission over the assembled trace completes with, so
         streamed and replayed drives digest-compare directly.  Ticket
         ids and timestamps are synthetic; the digest ignores them.
@@ -384,7 +385,7 @@ class StreamFleetReport:
                 self.by_subscription[key],
                 Completed(
                     Ticket(key[1], self.by_subscription[key].tenant, 0.0),
-                    result=self.events.get(key, ()),
+                    result=self.events.get(key, EventLog()),
                 ),
             )
             for key in sorted(self.by_subscription)

@@ -41,6 +41,7 @@ from repro.apps.base import SensingApplication
 from repro.errors import HubExecutionError, ServiceError, SidewinderError
 from repro.hub.fpga import ARTIX_CLASS, HubProcessor
 from repro.hub.mcu import DEFAULT_CATALOG
+from repro.hub.runtime import EventLog
 from repro.il.graph import DataflowGraph
 from repro.power.phone import NEXUS4, PhonePowerProfile
 from repro.sim.configs.sidewinder import Sidewinder
@@ -351,7 +352,7 @@ class Scheduler:
             # inside the same call.  Bit-identical either way, so a
             # batch failure (e.g. one member's missing channel) simply
             # re-runs the group per key to preserve per-request errors.
-            batched: Optional[List[tuple]] = None
+            batched: Optional[List[EventLog]] = None
             try:
                 batched = self._context.wake_events_batch(
                     [(works[k].graph, works[k].trace) for k in keys],
@@ -372,9 +373,8 @@ class Scheduler:
                         fail(key, error)
                         continue
                 engine_runs += 1
-                result = tuple(events)
-                self._remember(key, result)
-                complete(key, result, payer=members[key][0])
+                self._remember(key, events)
+                complete(key, events, payer=members[key][0])
 
         assert all(r is not None for r in responses)
         return list(responses), engine_runs

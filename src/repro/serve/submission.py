@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
-from repro.hub.runtime import WakeEvent
+from repro.hub.runtime import EventLog
 from repro.sim.results import SimulationResult
 
 
@@ -49,7 +49,7 @@ class Submission:
       :class:`~repro.sim.results.SimulationResult`.
     * ``il`` carries raw intermediate-language text — the wire form a
       phone pushes to its hub.  The service runs the condition on the
-      simulated hub only and completes with the wake-event tuple.
+      simulated hub only and completes with the wake-event log.
 
     Attributes:
         tenant: Tenant (device/app installation) identifier.
@@ -117,7 +117,7 @@ class Rejected:
 
 #: What a completed submission evaluates to: a full simulation result
 #: (application submissions) or the hub wake events (raw-IL ones).
-ServeResult = Union[SimulationResult, Tuple[WakeEvent, ...]]
+ServeResult = Union[SimulationResult, EventLog]
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class Completed:
 
     Attributes:
         ticket: The submission's receipt.
-        result: The simulation result or wake-event tuple.  Coalesced
+        result: The simulation result or wake-event log.  Coalesced
             submissions share the payer's result object — bit-identical
             by construction.
         dedup: True when this submission never touched the engine: an

@@ -257,23 +257,24 @@ class AdaptiveSidewinder(SensingConfiguration):
             program = _with_threshold(base_program, threshold)
             graph = validated(program)
             wake_events = run_wakeup_condition(graph, piece)
+            wake_times = wake_events.times.tolist()
             total_wakes += len(wake_events)
             windows = windows_from_wake_times(
-                [w.time for w in wake_events], piece.duration, self.hold_s, profile
+                wake_times, piece.duration, self.hold_s, profile
             )
             detections = app.detect(piece, extend_for_buffer(windows))
             # Application feedback: a wake event is confirmed when a
             # detection lies within its hold window (+ tolerance).
             tp_values, fp_values = [], []
-            for event in wake_events:
+            for time, value in zip(wake_times, wake_events.values.tolist()):
                 confirmed = any(
-                    event.time - app.match_tolerance_s
+                    time - app.match_tolerance_s
                     <= d.span[1]
                     and d.span[0]
-                    <= event.time + self.hold_s + app.match_tolerance_s
+                    <= time + self.hold_s + app.match_tolerance_s
                     for d in detections
                 )
-                (tp_values if confirmed else fp_values).append(event.value)
+                (tp_values if confirmed else fp_values).append(value)
             new_threshold = tuner.update(tp_values, fp_values)
             reports.append(
                 EpochReport(

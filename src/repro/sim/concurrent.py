@@ -35,7 +35,7 @@ from repro.errors import SimulationError
 from repro.hub.fpga import HubProcessor, select_processor
 from repro.hub.mcu import DEFAULT_CATALOG
 from repro.hub.merge import MultiTapRuntime, merge_programs
-from repro.hub.runtime import WakeEvent, split_into_rounds
+from repro.hub.runtime import EventLog, split_into_rounds
 from repro.il.validate import validate_program
 from repro.power.accounting import account
 from repro.power.phone import NEXUS4, PhonePowerProfile
@@ -143,7 +143,7 @@ class ConcurrentSidewinder:
         for events in per_app_events:
             union_windows.extend(
                 windows_from_wake_times(
-                    [e.time for e in events], trace.duration, self.hold_s, profile
+                    events.times.tolist(), trace.duration, self.hold_s, profile
                 )
             )
         union_windows = merge_windows(
@@ -155,7 +155,7 @@ class ConcurrentSidewinder:
         results = []
         for app, events in zip(usable, per_app_events):
             own_windows = windows_from_wake_times(
-                [e.time for e in events], trace.duration, self.hold_s, profile
+                events.times.tolist(), trace.duration, self.hold_s, profile
             )
             visible = extend_for_buffer(own_windows, self.raw_buffer_s)
             if context is not None:
@@ -201,7 +201,7 @@ class ConcurrentSidewinder:
         programs: Sequence,
         trace: Trace,
         context: Optional[RunContext] = None,
-    ) -> Tuple[List[List[WakeEvent]], int, List[HubProcessor]]:
+    ) -> Tuple[List[EventLog], int, List[HubProcessor]]:
         processors: Dict[str, HubProcessor] = {}
         validated = (
             context.validated if context is not None else validate_program
@@ -219,7 +219,7 @@ class ConcurrentSidewinder:
                 if name in runtime.graph.channels
             }
             events_by_tap = runtime.run(split_into_rounds(channels))
-            per_app = [list(events_by_tap[tap]) for tap in merged.taps]
+            per_app = [events_by_tap[tap] for tap in merged.taps]
             # Place the merged graph: each original condition still
             # determines its own processor class (the merged subgraph a
             # condition needs is what must fit), so we place per

@@ -174,7 +174,7 @@ class PredefinedActivity(SensingConfiguration):
             )
         wake_events = run_wakeup_condition(graph, trace, context=context)
         awake = windows_from_wake_times(
-            [w.time for w in wake_events], trace.duration, self.hold_s, profile
+            wake_events.times.tolist(), trace.duration, self.hold_s, profile
         )
         return evaluate(
             config_name=self.name,

@@ -61,8 +61,8 @@ from repro.hub.compile import (
 )
 from repro.hub.costmodel import CostModel
 from repro.hub.runtime import (
+    EventLog,
     HubRuntime,
-    WakeEvent,
     fusion_eligibility,
     split_into_rounds,
 )
@@ -273,7 +273,7 @@ class RunContext:
         self._fingerprints: Dict[int, Tuple[ILProgram, str]] = {}
         self._traces: Dict[int, Trace] = {}
         self._channel_arrays: Dict[int, Dict[str, tuple]] = {}
-        self._hub_runs: Dict[Tuple[str, int, float], Tuple[WakeEvent, ...]] = {}
+        self._hub_runs: Dict[Tuple[str, int, float], EventLog] = {}
         self._shape_sigs: Dict[str, str] = {}
         self._structural_keys: Dict[str, tuple] = {}
         self._detections: Dict[tuple, Tuple["Detection", ...]] = {}
@@ -421,7 +421,7 @@ class RunContext:
 
     def wake_events(
         self, graph: DataflowGraph, trace: Trace, chunk_seconds: float = 4.0
-    ) -> Tuple[WakeEvent, ...]:
+    ) -> EventLog:
         """Wake events of one condition over one trace, computed once.
 
         Raises:
@@ -429,7 +429,7 @@ class RunContext:
                 condition reads.
         """
         if not self.cache:
-            return tuple(self._interpret(graph, trace, chunk_seconds))
+            return self._interpret(graph, trace, chunk_seconds)
         key = (
             self.fingerprint(graph.program),
             self._trace_key(trace),
@@ -440,7 +440,7 @@ class RunContext:
             self.stats.hub_hits += 1
             return events
         self.stats.hub_misses += 1
-        events = tuple(self._interpret(graph, trace, chunk_seconds))
+        events = self._interpret(graph, trace, chunk_seconds)
         self._hub_runs[key] = events
         return events
 
@@ -481,7 +481,7 @@ class RunContext:
         chunk_seconds: float,
         extra_keys: Sequence[str] = (),
         force_tier: Optional[str] = None,
-    ) -> List[WakeEvent]:
+    ) -> EventLog:
         channels = self._trace_channels(graph.channels, trace)
         plan = self.compiled_plan(graph) if self.compiled else None
         allowed = self._allowed_tiers(graph, plan)
@@ -523,7 +523,7 @@ class RunContext:
         trace: Trace,
         chunk_seconds: float,
         shape_key: str,
-    ) -> Tuple[WakeEvent, ...]:
+    ) -> EventLog:
         """One cached per-trace run that doubles as a *shape-key* probe.
 
         In a heterogeneous group every row's fingerprint is fresh, so a
@@ -547,14 +547,12 @@ class RunContext:
         tier = self.cost_model.choose(
             shape_key, self._allowed_tiers(graph, plan)
         )
-        events = tuple(
-            self._interpret(
-                graph,
-                trace,
-                chunk_seconds,
-                extra_keys=(shape_key,),
-                force_tier=tier,
-            )
+        events = self._interpret(
+            graph,
+            trace,
+            chunk_seconds,
+            extra_keys=(shape_key,),
+            force_tier=tier,
         )
         self._hub_runs[key] = events
         return events
@@ -563,7 +561,7 @@ class RunContext:
         self,
         items: Sequence[Tuple[DataflowGraph, Trace]],
         chunk_seconds: float = 4.0,
-    ) -> List[Tuple[WakeEvent, ...]]:
+    ) -> List[EventLog]:
         """Wake events for many (condition, trace) pairs, batched.
 
         Bit-identical to calling :meth:`wake_events` per pair, in input
@@ -595,7 +593,7 @@ class RunContext:
             HubExecutionError: when a trace lacks a channel its
                 condition reads.
         """
-        results: List[Optional[Tuple[WakeEvent, ...]]] = [None] * len(items)
+        results: List[Optional[EventLog]] = [None] * len(items)
         if not (self.batch and self.cache and self.compiled):
             for i, (graph, trace) in enumerate(items):
                 results[i] = self.wake_events(graph, trace, chunk_seconds)
@@ -694,7 +692,7 @@ class RunContext:
         bplan: BatchedPlan,
         sub: List[Tuple[DataflowGraph, Trace, List[int], Dict[str, tuple]]],
         chunk_seconds: float,
-        results: List[Optional[Tuple[WakeEvent, ...]]],
+        results: List[Optional[EventLog]],
     ) -> None:
         """Dispatch one same-fingerprint, same-rate batch (or singleton)."""
         if len(sub) == 1:
@@ -723,8 +721,7 @@ class RunContext:
         self.stats.batched_cells += len(sub)
         self.stats.batch_padded_cells += info.padded_cells
         self.stats.batch_valid_cells += info.valid_cells
-        for (_, row_trace, indices, _), row_events in zip(sub, batch_events):
-            events = tuple(row_events)
+        for (_, row_trace, indices, _), events in zip(sub, batch_events):
             self.stats.hub_misses += 1
             self._hub_runs[
                 (fp, self._trace_key(row_trace), float(chunk_seconds))
@@ -737,7 +734,7 @@ class RunContext:
         sig: str,
         parts: List[Tuple[str, List[Tuple[DataflowGraph, Trace, List[int]]]]],
         chunk_seconds: float,
-        results: List[Optional[Tuple[WakeEvent, ...]]],
+        results: List[Optional[EventLog]],
     ) -> None:
         """Run one heterogeneous (shared-shape) group of uncached work.
 
@@ -839,10 +836,9 @@ class RunContext:
             self.stats.shape_cells += len(sub)
             self.stats.batch_padded_cells += info.padded_cells
             self.stats.batch_valid_cells += info.valid_cells
-            for (fp, _, row_trace, indices, _), row_events in zip(
+            for (fp, _, row_trace, indices, _), events in zip(
                 sub, batch_events
             ):
-                events = tuple(row_events)
                 self.stats.hub_misses += 1
                 self._hub_runs[
                     (fp, self._trace_key(row_trace), float(chunk_seconds))

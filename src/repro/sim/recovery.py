@@ -53,7 +53,7 @@ from repro.hub.reliability import (
     ReliabilityPolicy,
     ReliableLink,
 )
-from repro.hub.runtime import HubRuntime, WakeEvent
+from repro.hub.runtime import EventLog, HubRuntime
 from repro.il.graph import DataflowGraph
 from repro.sensors.samples import Chunk
 from repro.traces.base import Trace
@@ -273,7 +273,7 @@ def _run_condition(
     injector: FaultInjector,
     chunk_seconds: float,
     context=None,
-) -> Tuple[List[WakeEvent], int]:
+) -> Tuple[EventLog, int]:
     """Interpret the condition over its resident spans only.
 
     Each span starts from cold interpreter state (a re-pushed condition
@@ -297,7 +297,7 @@ def _run_condition(
             "by the wake-up condition"
         )
     runtime = HubRuntime(graph)
-    events: List[WakeEvent] = []
+    events: List[EventLog] = []
     lost_chunks = 0
     for span_start, span_end in resident:
         runtime.reset()
@@ -317,13 +317,13 @@ def _run_condition(
                 if injector.chunk_dropped():
                     lost_chunks += 1
                 else:
-                    events.extend(runtime.feed(round_chunks))
+                    events.append(runtime.feed(round_chunks))
             t0 = t1
-    return events, lost_chunks
+    return EventLog.concat(events), lost_chunks
 
 
 def _deliver(
-    events: List[WakeEvent],
+    events: EventLog,
     injector: FaultInjector,
     policy: Optional[ReliabilityPolicy],
     rlink: Optional[ReliableLink],
@@ -337,7 +337,7 @@ def _deliver(
     lost = 0
     retransmissions = 0
     link_busy = 0.0
-    for event in events:
+    for fired_at in events.times.tolist():
         delay = injector.wake_delay()
         if policy is None or rlink is None:
             if injector.wake_dropped():
@@ -347,7 +347,7 @@ def _deliver(
             if wake_payload_bytes > 0:
                 payload_ok = not injector.payload_dropped()
             deliveries.append(
-                WakeDelivery(event.time, event.time + delay, 1, payload_ok)
+                WakeDelivery(fired_at, fired_at + delay, 1, payload_ok)
             )
             continue
         outcome = rlink.send(float(WAKE_MESSAGE_BYTES), injector.wake_dropped)
@@ -356,7 +356,7 @@ def _deliver(
         if not outcome.delivered:
             lost += 1
             continue
-        arrival = event.time + delay + outcome.completion_s
+        arrival = fired_at + delay + outcome.completion_s
         payload_ok = True
         if wake_payload_bytes > 0:
             payload_outcome = rlink.send(
@@ -368,7 +368,7 @@ def _deliver(
             if payload_outcome.delivered:
                 arrival += payload_outcome.completion_s
         deliveries.append(
-            WakeDelivery(event.time, arrival, outcome.attempts, payload_ok)
+            WakeDelivery(fired_at, arrival, outcome.attempts, payload_ok)
         )
     return deliveries, lost, retransmissions, link_busy
 

@@ -20,7 +20,7 @@ from repro.hub.faults import FaultPlan
 from repro.hub.link import LinkModel, UART_DEBUG
 from repro.hub.mcu import MCUModel
 from repro.hub.reliability import ReliabilityPolicy
-from repro.hub.runtime import HubRuntime, WakeEvent, split_into_rounds
+from repro.hub.runtime import EventLog, HubRuntime, split_into_rounds
 from repro.il.graph import DataflowGraph
 from repro.il.validate import validate_program
 from repro.power.accounting import account
@@ -68,14 +68,14 @@ def run_wakeup_condition(
     trace: Trace,
     chunk_seconds: float = FEED_CHUNK_S,
     context: Optional[RunContext] = None,
-) -> List[WakeEvent]:
+) -> EventLog:
     """Execute a hub condition over a whole trace, collecting wake events.
 
     With a :class:`~repro.sim.engine.RunContext`, identical (condition,
     trace, chunk) runs are interpreted once and served from cache.
     """
     if context is not None:
-        return list(context.wake_events(graph, trace, chunk_seconds))
+        return context.wake_events(graph, trace, chunk_seconds)
     # The graph may be a context-cached instance whose algorithm objects
     # carry state from an earlier run; always start cold.
     graph.reset()

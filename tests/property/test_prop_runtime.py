@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.compile import compile_pipeline
-from repro.hub.runtime import HubRuntime
+from repro.hub.runtime import EventLog, HubRuntime
 from repro.il.validate import validate_program
 from tests.conftest import scalar_chunk
 from tests.property.test_prop_il import random_pipeline
@@ -35,7 +35,7 @@ def _data(seed, n=180):
 
 def _run(graph, data, chunk=45):
     runtime = HubRuntime(graph)
-    events = []
+    events = []  # per-round event logs
     n = len(next(iter(data.values())))
     for lo in range(0, n, chunk):
         chunks = {
@@ -43,8 +43,8 @@ def _run(graph, data, chunk=45):
             for name, values in data.items()
             if name in graph.channels
         }
-        events.extend(runtime.feed(chunks))
-    return runtime, events
+        events.append(runtime.feed(chunks))
+    return runtime, EventLog.concat(events)
 
 
 @given(pipeline=random_pipeline(), seed=seeds)
@@ -55,9 +55,7 @@ def test_deterministic(pipeline, seed):
     data = _data(seed)
     _, first = _run(graph1, data)
     _, second = _run(graph2, data)
-    assert [(e.time, e.value) for e in first] == [
-        (e.time, e.value) for e in second
-    ]
+    assert first == second
 
 
 @given(pipeline=random_pipeline(), seed=seeds)
@@ -82,7 +80,7 @@ def test_reset_replays_identically(pipeline, seed):
     data = _data(seed)
     runtime, first = _run(graph, data)
     runtime.reset()
-    second = []
+    second = []  # per-round event logs
     n = len(data["ACC_X"])
     for lo in range(0, n, 45):
         chunks = {
@@ -90,7 +88,5 @@ def test_reset_replays_identically(pipeline, seed):
             for name, values in data.items()
             if name in graph.channels
         }
-        second.extend(runtime.feed(chunks))
-    assert [(e.time, e.value) for e in first] == [
-        (e.time, e.value) for e in second
-    ]
+        second.append(runtime.feed(chunks))
+    assert first == EventLog.concat(second)

@@ -139,6 +139,42 @@ def test_serve_bench_kill_is_recovered_to_the_same_digests(
     assert main(base + ["--kill-after", "5"]) == 2
 
 
+def _digest_lines(out):
+    return [
+        line for line in out.splitlines()
+        if line.startswith(("digest ", "response-digest "))
+    ]
+
+
+def test_serve_bench_crash_restart_twice_into_one_journal_dir(
+    capsys, tmp_path
+):
+    # The second run must not append to (and then recover) the first
+    # run's shard-00.wal: each drive starts from a fresh journal.
+    command = ["serve-bench", "--fleet", "8", "--quick", "--pump-every", "4",
+               "--digest", "--journal", str(tmp_path), "--kill-after", "5"]
+    assert main(command) == 0
+    first = capsys.readouterr().out
+    assert main(command) == 0
+    second = capsys.readouterr().out
+    assert "shard 0 recovery: recovered" in second
+    assert len(_digest_lines(first)) == 2
+    assert _digest_lines(second) == _digest_lines(first)
+
+
+def test_serve_bench_stream_kill_after_alone_kills_shard_0(capsys, tmp_path):
+    base = ["serve-bench", "--fleet", "4", "--seed", "5", "--quick",
+            "--stream", "--digest"]
+    assert main(base) == 0
+    reference = capsys.readouterr().out
+    assert "killed and recovered" not in reference
+    assert main(base + ["--journal", str(tmp_path), "--kill-after", "2"]) == 0
+    recovered = capsys.readouterr().out
+    assert "shard 0: killed and recovered x1 mid-stream" in recovered
+    assert "streamed vs replay: IDENTICAL" in recovered
+    assert _digest_lines(recovered) == _digest_lines(reference)
+
+
 def test_figure6_verbose_prints_cache_counters(capsys):
     code = main(["figure6", "--duration", "120", "--verbose"])
     assert code == 0

@@ -52,9 +52,7 @@ class TestRunContextCaches:
         fresh = run_wakeup_condition(
             ctx.compile(StepsApp().build_wakeup_pipeline()), robot_trace
         )
-        assert [(e.time, e.value) for e in cached] == [
-            (e.time, e.value) for e in fresh
-        ]
+        assert cached == fresh
 
     def test_wake_events_served_from_cache(self, robot_trace):
         ctx = RunContext()
@@ -77,9 +75,7 @@ class TestRunContextCaches:
             robot_trace,
             chunk_seconds=2.0,
         )
-        assert [(e.time, e.value) for e in again] == [
-            (e.time, e.value) for e in cold
-        ]
+        assert again == cold
 
     def test_missing_channel_raises(self, robot_trace):
         ctx = RunContext()
@@ -119,9 +115,7 @@ class TestRunContextCaches:
         assert g1 is not g2
         e1 = ctx.wake_events(g1, robot_trace)
         e2 = ctx.wake_events(g2, robot_trace)
-        assert [(e.time, e.value) for e in e1] == [
-            (e.time, e.value) for e in e2
-        ]
+        assert e1 == e2
         assert ctx.stats.total_hits == 0
 
 

@@ -39,7 +39,7 @@ from repro.hub.incremental import (
     incremental_eligibility,
     make_stream_state,
 )
-from repro.hub.runtime import split_into_rounds
+from repro.hub.runtime import EventLog, split_into_rounds
 from repro.sensors.samples import Chunk
 from tests.unit.test_fused_runtime import (
     EMA_PROGRAM,
@@ -85,11 +85,9 @@ def _empty_spans(channel_data):
 
 def _stream(state, channel_data, rng):
     """Feed randomized irregular arrival spans; return all events."""
-    events = []
-    for spans in _random_rounds(channel_data, rng):
-        events.extend(state.advance(spans))
-    events.extend(state.close())
-    return events
+    events = [state.advance(spans) for spans in _random_rounds(channel_data, rng)]
+    events.append(state.close())
+    return EventLog.concat(events)
 
 
 class TestEligibility:
@@ -155,7 +153,7 @@ class TestIncrementalEquivalence:
         rng = np.random.default_rng(8)
         while i0 < n:
             i1 = min(n, i0 + int(rng.integers(1, 4)))
-            events.extend(
+            events.append(
                 state.advance(
                     {
                         name: Chunk.scalars(t[i0:i1], v[i0:i1], rate)
@@ -164,8 +162,8 @@ class TestIncrementalEquivalence:
                 )
             )
             i0 = i1
-        events.extend(state.close())
-        assert events == whole
+        events.append(state.close())
+        assert EventLog.concat(events) == whole
 
     def test_idle_rounds_change_nothing(self):
         graph = _graph(INCREMENTAL_PROGRAMS["sustained"])
@@ -174,10 +172,10 @@ class TestIncrementalEquivalence:
         state = IncrementalGraphState(graph)
         events = []
         for spans in _random_rounds(channel_data, np.random.default_rng(9)):
-            events.extend(state.advance(spans))
-            assert state.advance(_empty_spans(channel_data)) == []
-        events.extend(state.close())
-        assert events == whole
+            events.append(state.advance(spans))
+            assert state.advance(_empty_spans(channel_data)) == EventLog()
+        events.append(state.close())
+        assert EventLog.concat(events) == whole
 
 
 class TestBatchedAdvance:
@@ -204,12 +202,12 @@ class TestBatchedAdvance:
             results, info = advance_rows_with_info(states, spans)
             info_rows += info.rows
             for per_state, new in zip(events, results):
-                per_state.extend(new)
+                per_state.append(new)
         for state, per_state in zip(states, events):
-            per_state.extend(state.close())
+            per_state.append(state.close())
         assert info_rows > rounds  # genuinely stacked, not row-at-a-time
         for data, per_state, graph in zip(datas, events, (s.graph for s in states)):
-            assert per_state == compile_graph(graph).execute(data)
+            assert EventLog.concat(per_state) == compile_graph(graph).execute(data)
 
     def test_shape_batched_rows_match_per_state(self):
         thresholds = (0.2, 0.4, 0.6)
@@ -223,9 +221,9 @@ class TestBatchedAdvance:
             for per_state, new in zip(
                 batched, advance_rows(states, [spans] * len(states))
             ):
-                per_state.extend(new)
+                per_state.append(new)
         for graph, per_state in zip(graphs, batched):
-            assert per_state == compile_graph(graph).execute(data)
+            assert EventLog.concat(per_state) == compile_graph(graph).execute(data)
 
     def test_mixed_batch_keys_are_refused(self):
         a = IncrementalGraphState(_graph(_threshold_program(0.2)))
@@ -267,16 +265,17 @@ class TestReplayFallbacks:
         graph = _graph(EMA_PROGRAM)
         channel_data = _signal(duration_s=30.0, seed=11)
         state = RoundReplayState(graph, 4.0)
-        early = []
-        for spans in _random_rounds(channel_data, np.random.default_rng(12)):
-            early.extend(state.advance(spans))
+        early = EventLog.concat(
+            state.advance(spans)
+            for spans in _random_rounds(channel_data, np.random.default_rng(12))
+        )
         assert early  # rounds flow while the stream is still open
         late = state.close()
         graph.reset()
-        assert early + late == _events(
+        assert EventLog.concat([early, late]) == _events(
             graph, split_into_rounds(channel_data, 4.0)
         )
 
     def test_round_replay_empty_stream_closes_clean(self):
         state = RoundReplayState(_graph(EMA_PROGRAM), 4.0)
-        assert state.close() == []
+        assert state.close() == EventLog()

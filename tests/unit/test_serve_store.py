@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import JournalError, ServiceError
+from repro.hub.runtime import EventLog
 from repro.serve import persist
 from repro.serve.store import ResultStore
 from repro.serve.submission import Completed, Ticket
@@ -74,6 +75,17 @@ class TestSpillTier:
         assert store.spilled_count == 1
         assert not persist.spill_path(tmp_path, 1).exists()
         assert persist.spill_path(tmp_path, 2).exists()
+
+    def test_event_log_results_fault_back_bitwise(self, store):
+        log = EventLog([0.25, -0.0, 7.5], [float("nan"), 5e-324, -1.0])
+        store.put(1, Completed(Ticket(1, "t1", 0.0), result=log), now=1.0)
+        for sid in (2, 3):
+            store.put(sid, _response(sid), now=float(sid))
+        back = store.get(1, now=4.0)
+        assert store.spill_reads == 1
+        assert isinstance(back.result, EventLog)
+        assert back.result == log
+        assert back.result.times.base is None
 
     def test_ttl_eviction_spans_both_tiers(self, tmp_path):
         store = ResultStore(ttl=10.0, spill_dir=tmp_path, memory_budget=1)
