@@ -1,11 +1,23 @@
 """Unit tests for the deterministic fleet load generator."""
 
+import hashlib
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.apps import all_applications
 from repro.errors import ServiceError
+from repro.hub.runtime import EventLog
 from repro.serve import LoadSpec, fleet_workload
-from repro.serve.loadgen import INVALID_IL, VALID_ACCEL_IL, zipf_weights
+from repro.serve.loadgen import (
+    INVALID_IL,
+    VALID_ACCEL_IL,
+    completion_digest,
+    submission_content_key,
+    zipf_weights,
+)
+from repro.serve.submission import Completed, Submission, Ticket
 
 
 class TestLoadSpec:
@@ -83,3 +95,27 @@ class TestFleetWorkload:
             assert "ACC_X" in {trace.name: trace for trace in traces}[
                 s.trace
             ].data
+
+
+class TestCompletionDigest:
+    SUBMISSION = Submission(tenant="t1", trace="robot", il=VALID_ACCEL_IL[0])
+
+    def _digest(self, log):
+        response = Completed(Ticket(1, "t1", 0.0), result=log)
+        return completion_digest([(self.SUBMISSION, response)])
+
+    def test_event_log_hashes_count_then_little_endian_columns(self):
+        log = EventLog([1.0, -0.0], [2.0, 0.5])
+        key = pickle.dumps(submission_content_key(self.SUBMISSION), protocol=4)
+        blob = (
+            b"events" + key + (2).to_bytes(8, "little")
+            + np.array([1.0, -0.0], dtype="<f8").tobytes()
+            + np.array([2.0, 0.5], dtype="<f8").tobytes()
+        )
+        assert self._digest(log) == hashlib.sha256(blob).hexdigest()
+
+    def test_digest_is_bitwise(self):
+        assert self._digest(EventLog([0.0], [1.0])) != self._digest(
+            EventLog([-0.0], [1.0])
+        )
+        assert self._digest(EventLog()) != self._digest(EventLog([0.0], [0.0]))
